@@ -8,8 +8,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
+
 from .errors import DataFormatError
-from .vectors import RelationVector, WordPair, cosine
+from .similarity import question_rng  # noqa: F401  (part of this module's API)
+from .similarity import TopTwo, cosines_to, margin_rule, nearest_two, top_two
+from .vectors import RelationVector, WordPair
 
 CHOICE_LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
@@ -37,21 +41,10 @@ class GuessOutcome:
     skipped_zero_stem: bool = False
 
 
-def ranked_indices(scores: Sequence[float], rng: random.Random | None = None) -> list[int]:
-    """Indices sorted by descending score; exact ties broken randomly when an
-    rng is given, by ascending index otherwise."""
-    n = len(scores)
-    if rng is None:
-        tiebreak = list(range(n))
-    else:
-        tiebreak = rng.sample(range(n), n)
-    return sorted(range(n), key=lambda i: (-scores[i], tiebreak[i]))
-
-
 def score_choices(stem_vec: RelationVector,
                   choice_vecs: Sequence[RelationVector]) -> list[float]:
     """One cosine per choice, order preserved."""
-    return [cosine(stem_vec, v) for v in choice_vecs]
+    return cosines_to(stem_vec, choice_vecs).tolist()
 
 
 def decide(cosines: Sequence[float], threshold: float,
@@ -59,28 +52,40 @@ def decide(cosines: Sequence[float], threshold: float,
            rng: random.Random | None = None) -> GuessOutcome:
     """Apply the margin-threshold guess policy to a question's cosines.
 
-    The margin m is the best cosine minus the second best. If the stem
-    vector is all zeros the question is skipped outright. Otherwise:
-    -m <= t <= +m guesses the best choice; t > m skips; t < -m guesses both
-    the best and the second best.
+    The margin m is the best cosine minus the second best, ties ranked as
+    in similarity.top_two. If the stem vector is all zeros the question is
+    skipped outright. Otherwise: -m <= t <= +m guesses the best choice;
+    t > m skips; t < -m guesses both the best and the second best.
     """
     if len(cosines) < 2:
         raise ValueError("need at least two cosines")
     if stem_is_zero:
         return GuessOutcome((), 0.0, skipped_zero_stem=True)
-    order = ranked_indices(cosines, rng)
-    best, second = order[0], order[1]
-    margin = cosines[best] - cosines[second]
-    if threshold > margin:
-        return GuessOutcome((), margin)
-    if threshold < -margin:
-        return GuessOutcome((best, second), margin)
-    return GuessOutcome((best,), margin)
+    return _outcome(top_two(cosines, rng), threshold)
 
 
-def question_rng(seed: int, ordinal: int) -> random.Random:
-    """Per-question generator; depends only on the global seed and ordinal."""
-    return random.Random(seed ^ ordinal)
+def _outcome(top: TopTwo, threshold: float) -> GuessOutcome:
+    return GuessOutcome(margin_rule(top.best, top.second, top.margin, threshold),
+                        top.margin)
+
+
+def score_questions(questions: Sequence[AnalogyQuestion],
+                    vectors: dict[str, RelationVector], seed: int = 0,
+                    tie_break: str = "random") -> list[TopTwo | None]:
+    """Each question's best and second-best choice and their margin, or
+    None when its stem vector is all zeros; outcomes_at applies a
+    threshold afterwards."""
+    tops = nearest_two((cosines_to(vectors[q.stem.key()],
+                                   [vectors[c.key()] for c in q.choices])
+                        for q in questions), seed, tie_break)
+    return [None if vectors[q.stem.key()].is_zero() else top
+            for q, top in zip(questions, tops)]
+
+
+def outcomes_at(tops: Sequence[TopTwo | None], threshold: float) -> list[GuessOutcome]:
+    """The margin policy at one threshold over score_questions' result."""
+    return [GuessOutcome((), 0.0, skipped_zero_stem=True) if top is None
+            else _outcome(top, threshold) for top in tops]
 
 
 def solve_all(questions: Sequence[AnalogyQuestion],
@@ -88,13 +93,7 @@ def solve_all(questions: Sequence[AnalogyQuestion],
               threshold: float, seed: int = 0,
               tie_break: str = "random") -> list[GuessOutcome]:
     """Score and decide every question; tie_break is "random" or "first"."""
-    outcomes = []
-    for ordinal, q in enumerate(questions):
-        stem_vec = vectors[q.stem.key()]
-        cosines = score_choices(stem_vec, [vectors[c.key()] for c in q.choices])
-        rng = question_rng(seed, ordinal) if tie_break == "random" else None
-        outcomes.append(decide(cosines, threshold, stem_vec.is_zero(), rng))
-    return outcomes
+    return outcomes_at(score_questions(questions, vectors, seed, tie_break), threshold)
 
 
 @dataclass
@@ -157,8 +156,7 @@ def rank_pool(stem_vec: RelationVector,
     ascending pool index."""
     if not pool:
         raise ValueError("pool must be non-empty")
-    scores = [cosine(stem_vec, v) for v in pool]
-    return ranked_indices(scores)
+    return np.argsort(-cosines_to(stem_vec, pool), kind="stable").tolist()
 
 
 def rank_of(ranking: Sequence[int], target: int) -> int:

@@ -17,6 +17,7 @@ from .errors import DataFormatError, InputError
 from .index import (CountMode, build_index, load_corpus, load_index,
                     save_index)
 from .nounmod import GROUPS, load_labeled_pairs, loocv, macroaverage
+from .similarity import TIE_BREAKS
 from .terms import default_joining_terms, load_joining_terms, terms_checksum
 from .vectors import LocalIndexProvider, WordPair, build_vector
 
@@ -81,10 +82,16 @@ def _extract_pairs(path: str, fmt: str) -> list[WordPair]:
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         if "\t" in line:
-            x, y = line.split("\t")[:2]
-            pairs.append(WordPair(x.strip().lower(), y.strip().lower()))
+            members = [m.strip().lower() for m in line.split("\t")[:2]]
+            if not all(members) or any(":" in m for m in members):
+                raise DataFormatError(f"{path}:{lineno}: bad pair {line!r}, expected "
+                                      "two non-empty members without ':'")
+            pairs.append(WordPair(*members))
         else:
-            pairs.append(analogy.parse_pair(line))
+            try:
+                pairs.append(analogy.parse_pair(line))
+            except DataFormatError as e:
+                raise DataFormatError(f"{path}:{lineno}: {e}") from None
     return pairs
 
 
@@ -144,9 +151,19 @@ def _require_vectors(cache, pairs):
 def _parse_sweep_spec(spec: str):
     try:
         lo, hi, step = (float(x) for x in spec.split(":"))
+        return sweep.grid_thresholds(lo, hi, step)
     except ValueError:
-        raise DataFormatError(f"bad sweep spec {spec!r}, expected LO:HI:STEP") from None
-    return sweep.grid_thresholds(lo, hi, step)
+        raise DataFormatError(f"bad sweep spec {spec!r}, expected LO:HI:STEP with "
+                              "finite LO <= HI and STEP > 0") from None
+
+
+def _emit_sweep(rows, csv_path):
+    csv_text = sweep.rows_to_csv(rows)
+    if csv_path:
+        Path(csv_path).write_text(csv_text, encoding="utf-8")
+        click.echo(f"wrote {len(rows)} rows to {csv_path}")
+    else:
+        click.echo(csv_text, nl=False)
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +185,7 @@ def sat():
               help="Sweep the margin threshold and write CSV rows.")
 @click.option("--csv", "csv_path", type=click.Path(), default=None)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--tie-break", type=click.Choice(["random", "first"]),
+@click.option("--tie-break", type=click.Choice(TIE_BREAKS),
               default="random", show_default=True)
 def sat_solve(questions_file, cache_path, index_path, terms_path, threshold,
               sweep_spec, csv_path, seed, tie_break):
@@ -179,13 +196,8 @@ def sat_solve(questions_file, cache_path, index_path, terms_path, threshold,
 
     if sweep_spec is not None:
         thresholds = _parse_sweep_spec(sweep_spec)
-        rows = sweep.sat_sweep(questions, vectors, thresholds, seed, tie_break)
-        csv_text = sweep.rows_to_csv(rows)
-        if csv_path:
-            Path(csv_path).write_text(csv_text, encoding="utf-8")
-            click.echo(f"wrote {len(rows)} rows to {csv_path}")
-        else:
-            click.echo(csv_text, nl=False)
+        _emit_sweep(sweep.sat_sweep(questions, vectors, thresholds, seed, tie_break),
+                    csv_path)
         return
 
     outcomes = analogy.solve_all(questions, vectors, threshold, seed, tie_break)
@@ -250,7 +262,7 @@ def nounmod():
 @click.option("--sweep", "sweep_spec", default=None, metavar="LO:HI:STEP")
 @click.option("--csv", "csv_path", type=click.Path(), default=None)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--tie-break", type=click.Choice(["random", "first"]),
+@click.option("--tie-break", type=click.Choice(TIE_BREAKS),
               default="random", show_default=True)
 def nounmod_eval(data_file, cache_path, index_path, terms_path, granularity,
                  threshold, sweep_spec, csv_path, seed, tie_break):
@@ -264,13 +276,8 @@ def nounmod_eval(data_file, cache_path, index_path, terms_path, granularity,
 
     if sweep_spec is not None:
         thresholds = _parse_sweep_spec(sweep_spec)
-        rows = sweep.nounmod_sweep(vecs, labels, thresholds, gran, seed, tie_break)
-        csv_text = sweep.rows_to_csv(rows)
-        if csv_path:
-            Path(csv_path).write_text(csv_text, encoding="utf-8")
-            click.echo(f"wrote {len(rows)} rows to {csv_path}")
-        else:
-            click.echo(csv_text, nl=False)
+        _emit_sweep(sweep.nounmod_sweep(vecs, labels, thresholds, gran, seed, tie_break),
+                    csv_path)
         return
 
     result = loocv(vecs, labels, threshold, gran, seed, tie_break=tie_break)

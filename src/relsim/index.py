@@ -285,6 +285,14 @@ def count_hits(index: PositionalIndex, q: PhraseQuery,
 DOC_SEPARATOR = "%%"
 
 
+def _read_utf8(path: Path) -> str:
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise DataFormatError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") \
+            from None
+
+
 def load_corpus(path: str | Path) -> list[Document]:
     """Load a corpus from a directory of text files or a single %%-separated file.
 
@@ -295,12 +303,12 @@ def load_corpus(path: str | Path) -> list[Document]:
     path = Path(path)
     if path.is_dir():
         files = sorted(p for p in path.iterdir() if p.is_file())
-        return [Document(i, tuple(tokenize(p.read_text(encoding="utf-8"))))
+        return [Document(i, tuple(tokenize(_read_utf8(p))))
                 for i, p in enumerate(files)]
     if not path.is_file():
         raise DataFormatError(f"corpus path not found: {path}")
     sections: list[list[str]] = [[]]
-    for line in path.read_text(encoding="utf-8").splitlines():
+    for line in _read_utf8(path).splitlines():
         if line.strip() == DOC_SEPARATOR:
             sections.append([])
         else:

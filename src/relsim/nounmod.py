@@ -13,9 +13,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .analogy import f_measure, question_rng, ranked_indices
+from .analogy import f_measure
 from .errors import DataFormatError
-from .vectors import RelationVector, WordPair, cosine
+from .similarity import cosines_to, leave_one_out, margin_rule, nearest_two, top_two
+from .vectors import RelationVector, WordPair
 
 # (class name, abbreviation, example phrase, group)
 RELATION_CLASSES: tuple[tuple[str, str, str, str], ...] = (
@@ -96,20 +97,13 @@ def load_labeled_pairs(path: str | Path) -> list[LabeledNounModifier]:
 # ---------------------------------------------------------------------------
 # Classification
 
-def _neighbour_order(train: Sequence[RelationVector], probe: RelationVector,
-                     rng: random.Random | None) -> list[int]:
-    scores = [cosine(probe, v) for v in train]
-    return ranked_indices(scores, rng)
-
-
 def classify_1nn(train: Sequence[RelationVector], labels: Sequence[str],
                  probe: RelationVector,
                  rng: random.Random | None = None) -> str:
     """Label of the training vector with the largest cosine to the probe."""
     if not train:
         raise ValueError("training set is empty")
-    order = _neighbour_order(train, probe, rng)
-    return labels[order[0]]
+    return labels[top_two(cosines_to(probe, train), rng).best]
 
 
 def classify_margin(train: Sequence[RelationVector], labels: Sequence[str],
@@ -123,17 +117,15 @@ def classify_margin(train: Sequence[RelationVector], labels: Sequence[str],
     """
     if len(train) < 2:
         raise ValueError("need at least two training items")
-    scores = [cosine(probe, v) for v in train]
-    order = ranked_indices(scores, rng)
-    n1, n2 = order[0], order[1]
-    if labels[n1] == labels[n2]:
-        return (labels[n1],)
-    margin = scores[n1] - scores[n2]
-    if threshold > margin:
-        return ()
-    if threshold < -margin:
-        return (labels[n1], labels[n2])
-    return (labels[n1],)
+    top = top_two(cosines_to(probe, train), rng)
+    return _margin_labels(labels[top.best], labels[top.second], top.margin, threshold)
+
+
+def _margin_labels(first: str, second: str, margin: float,
+                   threshold: float) -> tuple[str, ...]:
+    if first == second:
+        return (first,)
+    return margin_rule(first, second, margin, threshold)
 
 
 @dataclass
@@ -159,18 +151,11 @@ class LoocvResult:
     total: int
 
 
-def loocv(vectors: Sequence[RelationVector], labels: Sequence[str],
-          threshold: float = 0.0, granularity: int = 30, seed: int = 0,
-          classes: Sequence[str] | None = None,
-          tie_break: str = "random") -> LoocvResult:
-    """Leave-one-out cross-validation with the two-neighbour margin rule.
-
-    granularity 5 collapses labels through group_of before training and
-    scoring; 30 keeps them as-is. Per-class accounting: a guess set
-    containing the true class adds a TP to it and an FP to every other
-    guessed class; a miss adds an FN to the true class and an FP to each
-    guessed class; abstention adds an FN to the true class.
-    """
+def loocv_thresholds(vectors: Sequence[RelationVector], labels: Sequence[str],
+                     thresholds: Sequence[float], granularity: int = 30,
+                     seed: int = 0, classes: Sequence[str] | None = None,
+                     tie_break: str = "random") -> list[LoocvResult]:
+    """loocv at each threshold in turn; every item is scored once."""
     if len(vectors) != len(labels):
         raise ValueError("one label per vector required")
     if len(vectors) < 2:
@@ -186,6 +171,36 @@ def loocv(vectors: Sequence[RelationVector], labels: Sequence[str],
     if classes is None:
         classes = default_classes
 
+    # Leave-one-out positions skip the probe itself. With two items the
+    # single neighbour is its own runner-up, which makes the guess plain 1-NN.
+    neighbours = []
+    tops = nearest_two(leave_one_out(vectors), seed, tie_break)
+    for i, top in enumerate(tops):
+        n1 = top.best + (top.best >= i)
+        n2 = top.second + (top.second >= i)
+        neighbours.append((labels[n1], labels[n2], top.margin))
+    return [_tally(labels, [_margin_labels(*nb, t) for nb in neighbours], classes)
+            for t in thresholds]
+
+
+def loocv(vectors: Sequence[RelationVector], labels: Sequence[str],
+          threshold: float = 0.0, granularity: int = 30, seed: int = 0,
+          classes: Sequence[str] | None = None,
+          tie_break: str = "random") -> LoocvResult:
+    """Leave-one-out cross-validation with the two-neighbour margin rule.
+
+    granularity 5 collapses labels through group_of before training and
+    scoring; 30 keeps them as-is. Per-class accounting: a guess set
+    containing the true class adds a TP to it and an FP to every other
+    guessed class; a miss adds an FN to the true class and an FP to each
+    guessed class; abstention adds an FN to the true class.
+    """
+    return loocv_thresholds(vectors, labels, [threshold], granularity, seed,
+                            classes, tie_break)[0]
+
+
+def _tally(labels: Sequence[str], guess_sets: Sequence[tuple[str, ...]],
+           classes: Sequence[str]) -> LoocvResult:
     tp = {c: 0 for c in classes}
     fp = {c: 0 for c in classes}
     fn = {c: 0 for c in classes}
@@ -193,18 +208,8 @@ def loocv(vectors: Sequence[RelationVector], labels: Sequence[str],
     confusion: dict[tuple[str, str | None], int] = {}
     guesses_made = abstained = doubles = correct = 0
 
-    for i, probe in enumerate(vectors):
-        true = labels[i]
+    for true, guesses in zip(labels, guess_sets):
         size[true] += 1
-        train = [v for j, v in enumerate(vectors) if j != i]
-        train_labels = [lab for j, lab in enumerate(labels) if j != i]
-        rng = question_rng(seed, i) if tie_break == "random" else None
-        if len(train) == 1:
-            # too small for the two-neighbour rule; plain 1-NN
-            guesses = (train_labels[0],)
-        else:
-            guesses = classify_margin(train, train_labels, probe, threshold, rng)
-
         guesses_made += len(guesses)
         if not guesses:
             abstained += 1
@@ -233,7 +238,7 @@ def loocv(vectors: Sequence[RelationVector], labels: Sequence[str],
         per_class.append(ClassMetrics(c, size[c], tp[c], fp[c], fn[c],
                                       p, r, f_measure(p, r)))
     return LoocvResult(per_class, confusion, guesses_made, abstained, doubles,
-                       correct, len(vectors))
+                       correct, len(labels))
 
 
 def macroaverage(per_class: Sequence[ClassMetrics]) -> tuple[float, float, float]:

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .analogy import AnalogyQuestion, evaluate, solve_all
-from .nounmod import loocv, macroaverage
+from .analogy import AnalogyQuestion, evaluate, outcomes_at, score_questions
+from .nounmod import loocv_thresholds, macroaverage
 from .vectors import RelationVector
 
 
@@ -28,6 +29,11 @@ NOUNMOD_GRID = (-0.03, 0.03, 0.01)
 
 
 def grid_thresholds(lo: float, hi: float, step: float) -> list[float]:
+    """lo, lo + step, ... up to hi, each rounded to 10 places."""
+    if not all(math.isfinite(x) for x in (lo, hi, step)):
+        raise ValueError("grid bounds and step must be finite")
+    if step <= 0 or lo > hi:
+        raise ValueError("a grid needs lo <= hi and step > 0")
     n = round((hi - lo) / step)
     return [round(lo + i * step, 10) for i in range(n + 1)]
 
@@ -37,8 +43,9 @@ def sat_sweep(questions: Sequence[AnalogyQuestion],
               thresholds: Sequence[float], seed: int = 0,
               tie_break: str = "random") -> list[SweepRow]:
     rows = []
+    tops = score_questions(questions, vectors, seed, tie_break)
     for t in thresholds:
-        outcomes = solve_all(questions, vectors, t, seed, tie_break)
+        outcomes = outcomes_at(tops, t)
         report = evaluate(questions, outcomes)
         doubles = sum(1 for o in outcomes if len(o.guesses) == 2)
         rows.append(SweepRow(t, report.precision, report.recall, report.f,
@@ -50,8 +57,9 @@ def nounmod_sweep(vectors: Sequence[RelationVector], labels: Sequence[str],
                   thresholds: Sequence[float], granularity: int = 30,
                   seed: int = 0, tie_break: str = "random") -> list[SweepRow]:
     rows = []
-    for t in thresholds:
-        result = loocv(vectors, labels, t, granularity, seed, tie_break=tie_break)
+    results = loocv_thresholds(vectors, labels, thresholds, granularity, seed,
+                               tie_break=tie_break)
+    for t, result in zip(thresholds, results):
         p, r, f = macroaverage(result.per_class)
         rows.append(SweepRow(t, p, r, f, result.guesses_made,
                              result.abstained, result.doubles))

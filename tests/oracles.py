@@ -87,3 +87,11 @@ def oracle_loocv_confusion(raw_vectors, labels, threshold):
         for g in guesses:
             bump((labels[i], g))
     return confusion
+
+
+def oracle_ranked(scores, rng=None):
+    """Indices by descending score; exact ties broken by a permutation
+    drawn with rng.sample(range(n), n), or by ascending index."""
+    n = len(scores)
+    tiebreak = list(range(n)) if rng is None else rng.sample(range(n), n)
+    return sorted(range(n), key=lambda i: (-scores[i], tiebreak[i]))

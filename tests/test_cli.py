@@ -5,7 +5,7 @@ import pytest
 from click.testing import CliRunner
 
 from relsim.cache import VectorCache, load_cache
-from relsim.cli import cli
+from relsim.cli import cli, main
 from relsim.errors import CacheProvenanceError
 from relsim.index import load_corpus
 from relsim.terms import default_joining_terms, terms_checksum
@@ -212,3 +212,73 @@ class TestExitCodes:
     def test_usage_error_is_one(self):
         proc = self.run_cli("sat", "solve", "/nonexistent/file")
         assert proc.returncode == 1
+
+
+def run_main(capsys, *args):
+    """Exit code, stdout and stderr of the CLI entry point, run in-process."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(args))
+    out = capsys.readouterr()
+    return exc.value.code, out.out, out.err
+
+
+@pytest.fixture
+def nm_files(runner, built_index, tmp_path):
+    data = tmp_path / "nm.tsv"
+    data.write_text("traffic\tstreet\tloc\nwater\triverbed\tloc\nmason\tstone\tinst\n")
+    cache = tmp_path / "nmcache.tsv"
+    runner.invoke(cli, ["vectors", str(data), "--index", str(built_index),
+                        "--cache", str(cache), "--format", "nounmod"])
+    return data, cache
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize("spec", ["0:0.1:0", "0:0.1:-0.01", "0.1:0:0.01",
+                                      "nan:0.1:0.01", "0:inf:0.01", "0:0.1"])
+    def test_bad_sweep_spec_exits_one(self, capsys, sat_setup, nm_files, spec):
+        q, cache = sat_setup
+        data, nm_cache = nm_files
+        for args in (["sat", "solve", str(q), "--cache", str(cache)],
+                     ["nounmod", "eval", str(data), "--cache", str(nm_cache)]):
+            code, _, err = run_main(capsys, *args, "--sweep", spec)
+            assert code == 1, err
+            assert "bad sweep spec" in err
+
+    def test_sweep_stdout_equals_csv_file(self, capsys, sat_setup, nm_files, tmp_path):
+        q, cache = sat_setup
+        data, nm_cache = nm_files
+        csv = tmp_path / "out.csv"
+        for args in (["sat", "solve", str(q), "--cache", str(cache)],
+                     ["nounmod", "eval", str(data), "--cache", str(nm_cache)]):
+            code, stdout, _ = run_main(capsys, *args, "--sweep", "-0.02:0.02:0.01")
+            assert code == 0
+            code, note, _ = run_main(capsys, *args, "--sweep", "-0.02:0.02:0.01",
+                                     "--csv", str(csv))
+            assert code == 0
+            assert note == f"wrote 5 rows to {csv}\n"
+            assert csv.read_text() == stdout
+
+    @pytest.mark.parametrize("line", ["traffic:jam\tstreet", "traffic\t", "\tstreet",
+                                      "traffic:jam:street"])
+    def test_bad_pairs_line_keeps_cache_usable(self, capsys, built_index, sat_setup,
+                                               tmp_path, line):
+        q, cache = sat_setup
+        before = cache.read_bytes()
+        pairs = tmp_path / "pairs.tsv"
+        pairs.write_text(f"water\triverbed\n{line}\n")
+        code, _, err = run_main(capsys, "vectors", str(pairs), "--index", str(built_index),
+                                "--cache", str(cache), "--format", "pairs")
+        assert code == 1, err
+        assert f"{pairs}:2" in err
+        assert cache.read_bytes() == before
+        code, out, err = run_main(capsys, "sat", "solve", str(q), "--cache", str(cache))
+        assert code == 0, err
+        assert "precision:" in out
+
+    def test_non_utf8_corpus_is_input_error(self, capsys, tmp_path):
+        corpus = tmp_path / "latin1.txt"
+        corpus.write_bytes("caf\u00e9 au lait\n".encode("latin-1"))
+        code, _, err = run_main(capsys, "index", "build", str(corpus),
+                                "-o", str(tmp_path / "idx.json"))
+        assert code == 1
+        assert str(corpus) in err and "internal error" not in err

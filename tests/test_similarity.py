@@ -1,0 +1,158 @@
+import random
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from relsim.analogy import AnalogyQuestion, solve_all
+from relsim.nounmod import loocv, loocv_thresholds
+from relsim.similarity import (PairMatrix, cosines_to, margin_rule,
+                               nearest_two, question_rng, top_two)
+from relsim.sweep import (NOUNMOD_GRID, SAT_GRID, grid_thresholds,
+                          nounmod_sweep, sat_sweep)
+from relsim.vectors import RelationVector, WordPair, cosine
+
+from oracles import oracle_cosine, oracle_loocv_confusion, oracle_ranked
+
+
+def vec(raw):
+    return RelationVector.from_raw(WordPair("a", "b"), raw)
+
+
+@st.composite
+def tie_heavy_rows(draw, min_rows=2):
+    """Small integer vectors drawn from a few base rows, so that rows
+    repeat; at least one row is all zeros and one base row is repeated."""
+    dim = draw(st.integers(1, 6))
+    row = st.lists(st.integers(0, 9), min_size=dim, max_size=dim)
+    base = draw(st.lists(row, min_size=1, max_size=6)) + [[0] * dim]
+    picks = draw(st.lists(st.integers(0, len(base) - 1),
+                          min_size=max(1, min_rows - 2), max_size=12))
+    return [base[i] for i in picks] + [base[picks[0]], [0] * dim]
+
+
+class TestTopTwo:
+    @given(st.lists(st.integers(0, 3), min_size=2, max_size=12),
+           st.integers(0, 50), st.booleans())
+    def test_matches_full_ranking(self, values, seed, use_rng):
+        scores = [v / 4 for v in values]
+        rng = (lambda: random.Random(seed)) if use_rng else (lambda: None)
+        order = oracle_ranked(scores, rng())
+        top = top_two(scores, rng())
+        assert (top.best, top.second) == (order[0], order[1])
+        assert top.margin == scores[order[0]] - scores[order[1]]
+
+    def test_single_score_is_its_own_runner_up(self):
+        assert top_two([0.3]) == top_two([0.3], random.Random(1))
+        assert (top_two([0.3]).best, top_two([0.3]).second) == (0, 0)
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError):
+            top_two([])
+
+
+class TestPairMatrix:
+    def test_identical_vectors_tie_exactly(self):
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            stem = vec(list(rng.integers(0, 200, 128)))
+            other = vec(list(rng.integers(0, 200, 128)))
+            choices = [other, stem, vec(list(stem.raw)), other, vec(list(other.raw))]
+            scores = cosines_to(stem, choices)
+            assert scores[1] == scores[2]
+            assert scores[0] == scores[3] == scores[4]
+
+    def test_matches_scalar_cosine(self):
+        rng = np.random.default_rng(4)
+        vectors = [vec(list(rng.integers(0, 30, 16))) for _ in range(12)] + [vec([0] * 16)]
+        matrix = PairMatrix(vectors)
+        for i, v in enumerate(vectors):
+            expected = [cosine(v, w) for w in vectors]
+            assert matrix.cosines(i) == pytest.approx(expected, abs=1e-12)
+
+    def test_zero_norm_gives_zero(self):
+        scores = cosines_to(vec([0, 0, 0]), [vec([1, 2, 3]), vec([0, 0, 0])])
+        assert scores.tolist() == [0.0, 0.0]
+
+
+def test_margin_rule_branches():
+    assert margin_rule("a", "b", 0.05, 0.0) == ("a",)
+    assert margin_rule("a", "b", 0.05, 0.05) == ("a",)
+    assert margin_rule("a", "b", 0.05, 0.06) == ()
+    assert margin_rule("a", "b", 0.05, -0.06) == ("a", "b")
+
+
+class TestLoocvOracle:
+    @settings(deadline=None)
+    @given(st.data())
+    def test_confusion_matches_oracle_at_grid_thresholds(self, data):
+        rows = data.draw(tie_heavy_rows())
+        labels = data.draw(st.lists(st.sampled_from(["ag", "cs", "meas"]),
+                                    min_size=len(rows), max_size=len(rows)))
+        grid = grid_thresholds(*NOUNMOD_GRID)
+        vectors = [vec(r) for r in rows]
+        results = loocv_thresholds(vectors, labels, grid, 30, tie_break="first")
+        for t, result in zip(grid, results):
+            expected = oracle_loocv_confusion([list(v.r) for v in vectors], labels, t)
+            assert result.confusion == expected
+
+
+def reference_solve(questions, vectors, threshold, seed, tie_break):
+    """The question-by-question loop: pure-Python cosines, full ranking."""
+    outcomes = []
+    for ordinal, q in enumerate(questions):
+        stem = vectors[q.stem.key()]
+        if stem.is_zero():
+            outcomes.append(())
+            continue
+        scores = [oracle_cosine(list(stem.r), list(vectors[c.key()].r)) for c in q.choices]
+        rng = question_rng(seed, ordinal) if tie_break == "random" else None
+        best, second = oracle_ranked(scores, rng)[:2]
+        outcomes.append(margin_rule(best, second, scores[best] - scores[second], threshold))
+    return outcomes
+
+
+class TestSolveOracle:
+    @settings(deadline=None)
+    @given(st.data(), st.integers(0, 5), st.sampled_from(["random", "first"]))
+    def test_guesses_match_reference_loop(self, data, seed, tie_break):
+        rows = data.draw(tie_heavy_rows(min_rows=6))
+        n_questions = data.draw(st.integers(1, 4))
+        questions, vectors = [], {}
+        for k in range(n_questions):
+            picks = data.draw(st.lists(st.sampled_from(rows), min_size=6, max_size=6))
+            stem = WordPair(f"s{k}", f"t{k}")
+            choices = tuple(WordPair(f"c{k}_{j}", f"d{k}_{j}") for j in range(5))
+            questions.append(AnalogyQuestion(stem, choices, 0))
+            for pair, raw in zip((stem, *choices), picks):
+                vectors[pair.key()] = vec(raw)
+        for t in grid_thresholds(*SAT_GRID):
+            got = [o.guesses for o in solve_all(questions, vectors, t, seed, tie_break)]
+            assert got == reference_solve(questions, vectors, t, seed, tie_break)
+
+
+class TestTieBreakValidation:
+    def setup_method(self):
+        self.q = AnalogyQuestion(WordPair("s", "t"),
+                                 (WordPair("a", "b"), WordPair("c", "d")), 0)
+        self.vectors = {p.key(): vec([1, 2, i]) for i, p in enumerate(self.q.pairs())}
+
+    def test_solve_all_and_sat_sweep(self):
+        with pytest.raises(ValueError, match="tie_break"):
+            solve_all([self.q], self.vectors, 0.0, tie_break="frist")
+        with pytest.raises(ValueError, match="tie_break"):
+            sat_sweep([self.q], self.vectors, [0.0], tie_break="Random")
+
+    def test_loocv_and_nounmod_sweep(self):
+        vectors = [vec([1, 0]), vec([0, 1]), vec([1, 1])]
+        with pytest.raises(ValueError, match="tie_break"):
+            loocv(vectors, ["ag", "cs", "ag"], tie_break="lowest")
+        with pytest.raises(ValueError, match="tie_break"):
+            loocv(vectors[:2], ["ag", "cs"], tie_break="lowest")
+        with pytest.raises(ValueError, match="tie_break"):
+            nounmod_sweep(vectors, ["ag", "cs", "ag"], [0.0], tie_break="")
+
+    def test_checked_before_any_probe(self):
+        with pytest.raises(ValueError, match="tie_break"):
+            nearest_two([], tie_break="none")
