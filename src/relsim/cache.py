@@ -13,6 +13,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .errors import CacheProvenanceError, DataFormatError
+from .fileio import atomic_write
 from .vectors import RelationVector, WordPair
 
 _MAGIC = "# relsim-vector-cache v1"
@@ -43,7 +44,8 @@ class VectorCache:
                  f"# terms: {self.terms_checksum}"]
         for key in sorted(self.entries):
             lines.append(key + "\t" + "\t".join(str(c) for c in self.entries[key]))
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with atomic_write(path) as f:
+            f.write(("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def load_cache(path: str | Path, corpus_digest: str | None = None,

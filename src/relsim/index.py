@@ -16,12 +16,15 @@ from __future__ import annotations
 import bisect
 import enum
 import hashlib
-import json
 import re
-from dataclasses import dataclass, field
+from collections.abc import Iterator, Mapping, Sequence
+from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import DuplicateDocIdError, DataFormatError, PhraseSyntaxError
+import numpy as np
+
+from .errors import DataFormatError, DuplicateDocIdError, InputError, PhraseSyntaxError
+from .fileio import atomic_write
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
@@ -145,78 +148,177 @@ class HitCount:
     mode: CountMode
 
 
-@dataclass
-class PositionalIndex:
-    """Immutable after construction; concurrent queries are safe."""
+# Positions are int32, so a corpus holds fewer than 2**31 tokens.
+MAX_TOKENS = 2**31 - 1
 
-    postings: dict[str, list[tuple[int, int]]]
-    doc_lengths: dict[int, int]
+
+@dataclass(frozen=True, eq=False)
+class PositionalIndex:
+    """Positional inverted index; immutable, so concurrent queries are safe.
+
+    Documents lie end to end in doc_id order, and a token's global position
+    is its document's start plus its offset within the document.
+    ``positions[offsets[t]:offsets[t + 1]]`` holds the ascending global
+    positions of ``vocab[t]``, and ``vocab`` is sorted.
+    """
+
+    vocab: tuple[str, ...]
+    offsets: np.ndarray  # int64, len(vocab) + 1
+    positions: np.ndarray  # int32, one per corpus token
+    doc_ids: np.ndarray  # int64, ascending
+    doc_starts: np.ndarray  # int64, global position of each document's first token
+    doc_lens: np.ndarray  # int64, tokens per document
     corpus_digest: str
-    _sorted_vocab: list[str] = field(default_factory=list, repr=False)
-    _by_doc: dict[str, dict[int, set[int]]] = field(default_factory=dict, repr=False)
-    _wildcard_terms: dict[tuple[str, str], list[str]] = field(default_factory=dict, repr=False)
+
+    def __post_init__(self):
+        for a in (self.offsets, self.positions, self.doc_ids, self.doc_starts, self.doc_lens):
+            a.flags.writeable = False
 
     @property
     def doc_count(self) -> int:
-        return len(self.doc_lengths)
+        return len(self.doc_ids)
 
     @property
     def vocabulary_size(self) -> int:
-        return len(self.postings)
+        return len(self.vocab)
 
     @property
     def token_count(self) -> int:
-        return sum(self.doc_lengths.values())
+        return len(self.positions)
 
-    def sorted_vocab(self) -> list[str]:
-        if len(self._sorted_vocab) != len(self.postings):
-            self._sorted_vocab = sorted(self.postings)
-        return self._sorted_vocab
+    @property
+    def doc_lengths(self) -> dict[int, int]:
+        """doc_id -> token count, built on each access."""
+        return dict(zip(self.doc_ids.tolist(), self.doc_lens.tolist()))
+
+    @property
+    def postings(self) -> Mapping[str, list[tuple[int, int]]]:
+        """Read-only view: token -> ascending (doc_id, offset) list, built
+        only for the token looked up."""
+        return _Postings(self)
+
+    def term_id(self, token: str) -> int | None:
+        i = bisect.bisect_left(self.vocab, token)
+        return i if i < len(self.vocab) and self.vocab[i] == token else None
+
+    def term_positions(self, term_id: int) -> np.ndarray:
+        return self.positions[self.offsets[term_id]:self.offsets[term_id + 1]]
+
+    def doc_index(self, positions: np.ndarray) -> np.ndarray:
+        """Row in the document arrays of the document holding each position."""
+        return np.searchsorted(self.doc_starts, positions, side="right") - 1
+
+    def _term_ids(self, pattern: TokenPattern) -> list[int]:
+        if pattern.kind is PatternKind.LITERAL:
+            i = self.term_id(pattern.text)
+            return [] if i is None else [i]
+        if pattern.kind is PatternKind.ANY_WORD:
+            raise ValueError("any-word pattern matches every token")
+        lo = bisect.bisect_left(self.vocab, pattern.prefix)
+        hi = bisect.bisect_right(self.vocab, pattern.prefix + "\U0010ffff")
+        return [i for i in range(lo, hi) if match_token(pattern, self.vocab[i])]
 
     def matching_terms(self, pattern: TokenPattern) -> list[str]:
         """Vocabulary tokens matched by a literal or substring pattern."""
-        if pattern.kind is PatternKind.LITERAL:
-            return [pattern.text] if pattern.text in self.postings else []
-        if pattern.kind is PatternKind.ANY_WORD:
-            raise ValueError("any-word pattern matches every token")
-        key = (pattern.prefix, pattern.suffix)
-        cached = self._wildcard_terms.get(key)
-        if cached is None:
-            vocab = self.sorted_vocab()
-            lo = bisect.bisect_left(vocab, pattern.prefix)
-            hi = bisect.bisect_right(vocab, pattern.prefix + "\U0010ffff")
-            cached = [t for t in vocab[lo:hi] if match_token(pattern, t)]
-            self._wildcard_terms[key] = cached
-        return cached
+        return [self.vocab[i] for i in self._term_ids(pattern)]
 
-    def positions_by_doc(self, token: str) -> dict[int, set[int]]:
-        grouped = self._by_doc.get(token)
-        if grouped is None:
-            grouped = {}
-            for doc_id, pos in self.postings.get(token, ()):
-                grouped.setdefault(doc_id, set()).add(pos)
-            self._by_doc[token] = grouped
-        return grouped
+    def unit_positions(self, pattern: TokenPattern) -> np.ndarray:
+        """Ascending global positions of the tokens a literal or substring
+        pattern matches."""
+        ids = self._term_ids(pattern)
+        if len(ids) == 1:
+            return self.term_positions(ids[0])
+        if not ids:
+            return self.positions[:0]
+        return np.sort(np.concatenate([self.term_positions(i) for i in ids]))
 
 
-def build_index(docs: list[Document] | tuple[Document, ...]) -> PositionalIndex:
-    """Build a positional inverted index; deterministic for a given corpus."""
-    postings: dict[str, list[tuple[int, int]]] = {}
-    doc_lengths: dict[int, int] = {}
+class _Postings(Mapping):
+    __slots__ = ("_index",)
+
+    def __init__(self, index: PositionalIndex):
+        self._index = index
+
+    def __getitem__(self, token: str) -> list[tuple[int, int]]:
+        ix = self._index
+        t = ix.term_id(token) if isinstance(token, str) else None
+        if t is None:
+            raise KeyError(token)
+        pos = ix.term_positions(t)
+        doc = ix.doc_index(pos)
+        return list(zip(ix.doc_ids[doc].tolist(), (pos - ix.doc_starts[doc]).tolist()))
+
+    def __contains__(self, token) -> bool:
+        return isinstance(token, str) and self._index.term_id(token) is not None
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._index.vocab)
+
+    def __len__(self) -> int:
+        return len(self._index.vocab)
+
+
+def build_index(docs: Sequence[Document]) -> PositionalIndex:
+    """Build a positional inverted index; deterministic for a given corpus.
+
+    The corpus digest covers the documents in the order given.
+    """
     digest = hashlib.sha256()
     for doc in docs:
-        if doc.doc_id in doc_lengths:
-            raise DuplicateDocIdError(f"duplicate doc_id {doc.doc_id}")
-        doc_lengths[doc.doc_id] = len(doc.tokens)
-        digest.update(str(doc.doc_id).encode())
-        for pos, token in enumerate(doc.tokens):
-            digest.update(b"\x00")
-            digest.update(token.encode())
-            postings.setdefault(token, []).append((doc.doc_id, pos))
-        digest.update(b"\x01")
-    for plist in postings.values():
-        plist.sort()
-    return PositionalIndex(postings, doc_lengths, digest.hexdigest())
+        digest.update((str(doc.doc_id) + "".join(["\x00" + t for t in doc.tokens])
+                       + "\x01").encode())
+    ordered = sorted(docs, key=lambda d: d.doc_id)
+    for a, b in zip(ordered, ordered[1:]):
+        if a.doc_id == b.doc_id:
+            raise DuplicateDocIdError(f"duplicate doc_id {a.doc_id}")
+    doc_lens = np.array([len(d.tokens) for d in ordered], dtype=np.int64)
+    n = int(doc_lens.sum())
+    if n > MAX_TOKENS:
+        raise InputError(f"corpus has {n} tokens; an index holds at most {MAX_TOKENS}")
+    tokens = [t for d in ordered for t in d.tokens]
+    vocab = sorted(set(tokens))
+    term_of = {t: i for i, t in enumerate(vocab)}
+    term_ids = np.fromiter(map(term_of.__getitem__, tokens), dtype=np.int32, count=n)
+    # A stable sort by term keeps each term's positions ascending.
+    positions = np.argsort(term_ids, kind="stable").astype(np.int32)
+    offsets = np.zeros(len(vocab) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(term_ids, minlength=len(vocab)), out=offsets[1:])
+    return PositionalIndex(tuple(vocab), offsets, positions,
+                           np.array([d.doc_id for d in ordered], dtype=np.int64),
+                           np.cumsum(doc_lens) - doc_lens, doc_lens, digest.hexdigest())
+
+
+def _contains(sorted_values: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Mask of the elements of x found in sorted_values, by binary search."""
+    if not len(sorted_values):
+        return np.zeros(len(x), dtype=bool)
+    i = np.searchsorted(sorted_values, x)
+    return sorted_values[np.minimum(i, len(sorted_values) - 1)] == x
+
+
+def count_matches(index: PositionalIndex, units: Sequence[np.ndarray | None],
+                  mode: CountMode) -> int:
+    """Count the matches of a phrase, given for each unit the ascending
+    global positions it matches (None for a standalone '*').
+
+    The smallest unit's positions, shifted back by its offset in the
+    phrase, are the candidate starts; each other unit keeps the starts it
+    matches at its own offset, and a match must end in the document it
+    starts in.
+    """
+    n = len(units)
+    anchor = min((len(u), j) for j, u in enumerate(units) if u is not None)[1]
+    starts = units[anchor] - anchor
+    # In range, so that no start + j below overflows int32.
+    starts = starts[(starts >= 0) & (starts <= index.token_count - n)]
+    for j, unit in enumerate(units):
+        if unit is not None and j != anchor and len(starts):
+            starts = starts[_contains(unit, starts + j)]
+    doc = index.doc_index(starts)
+    inside = starts + n <= index.doc_starts[doc] + index.doc_lens[doc]
+    if mode is CountMode.OCCURRENCES:
+        return int(np.count_nonzero(inside))
+    return len(np.unique(doc[inside]))
 
 
 def count_hits(index: PositionalIndex, q: PhraseQuery,
@@ -226,57 +328,9 @@ def count_hits(index: PositionalIndex, q: PhraseQuery,
     Matches may overlap; each starting position counts once in occurrence
     mode. Document mode counts documents with at least one match.
     """
-    n = len(q.patterns)
-    # Per non-wildcard pattern: merged doc -> position-set map.
-    maps: list[dict[int, set[int]] | None] = []
-    sizes: list[int] = []
-    for pat in q.patterns:
-        if pat.kind is PatternKind.ANY_WORD:
-            maps.append(None)
-            sizes.append(-1)
-            continue
-        terms = index.matching_terms(pat)
-        if len(terms) == 1:
-            merged = index.positions_by_doc(terms[0])
-        else:
-            merged = {}
-            for term in terms:
-                for doc_id, pos_set in index.positions_by_doc(term).items():
-                    merged.setdefault(doc_id, set()).update(pos_set)
-        maps.append(merged)
-        sizes.append(sum(len(s) for s in merged.values()))
-
-    anchored = [(sz, i) for i, sz in enumerate(sizes) if sz >= 0]
-    anchor_size, anchor = min(anchored)
-    if anchor_size == 0:
-        return HitCount(0, mode)
-
-    occurrences = 0
-    docs_hit: set[int] = set()
-    empty: set[int] = set()
-    anchor_map = maps[anchor]
-    assert anchor_map is not None
-    for doc_id in sorted(anchor_map):
-        doc_len = index.doc_lengths[doc_id]
-        for pos in anchor_map[doc_id]:
-            start = pos - anchor
-            if start < 0 or start + n > doc_len:
-                continue
-            ok = True
-            for j in range(n):
-                if j == anchor or maps[j] is None:
-                    continue
-                if (start + j) not in maps[j].get(doc_id, empty):
-                    ok = False
-                    break
-            if ok:
-                occurrences += 1
-                docs_hit.add(doc_id)
-                if mode is CountMode.DOCUMENT_HITS:
-                    break  # one match per document suffices
-    if mode is CountMode.DOCUMENT_HITS:
-        return HitCount(len(docs_hit), mode)
-    return HitCount(occurrences, mode)
+    units = [None if p.kind is PatternKind.ANY_WORD else index.unit_positions(p)
+             for p in q.patterns]
+    return HitCount(count_matches(index, units, mode), mode)
 
 
 # ---------------------------------------------------------------------------
@@ -317,28 +371,83 @@ def load_corpus(path: str | Path) -> list[Document]:
             for i, sec in enumerate(sections)]
 
 
+INDEX_MAGIC = b"relsim-index-v2\n"
+# Name and dtype of each array of an index file, in file order.
+_FILE_ARRAYS = (("corpus_digest", np.uint8), ("vocab_text", np.uint8),
+                ("vocab_ends", np.int64), ("offsets", np.int64),
+                ("positions", np.int32), ("doc_ids", np.int64),
+                ("doc_starts", np.int64), ("doc_lens", np.int64))
+
+
 def save_index(index: PositionalIndex, path: str | Path) -> None:
-    payload = {
-        "format": "relsim-index-v1",
-        "corpus_digest": index.corpus_digest,
-        "doc_lengths": {str(k): v for k, v in index.doc_lengths.items()},
-        "postings": {t: [[d, p] for d, p in plist]
-                     for t, plist in index.postings.items()},
+    """Write the index to `path`: the magic line, then each array of
+    `_FILE_ARRAYS` in .npy form. The vocabulary is stored as its
+    concatenated UTF-8 text plus each term's end, counted in characters."""
+    arrays = {
+        "corpus_digest": np.frombuffer(index.corpus_digest.encode(), dtype=np.uint8),
+        "vocab_text": np.frombuffer("".join(index.vocab).encode(), dtype=np.uint8),
+        "vocab_ends": np.cumsum([len(t) for t in index.vocab], dtype=np.int64),
+        "offsets": index.offsets, "positions": index.positions,
+        "doc_ids": index.doc_ids, "doc_starts": index.doc_starts, "doc_lens": index.doc_lens,
     }
-    Path(path).write_text(
-        json.dumps(payload, sort_keys=True, separators=(",", ":")),
-        encoding="utf-8",
-    )
+    with atomic_write(path) as f:
+        f.write(INDEX_MAGIC)
+        for name, _ in _FILE_ARRAYS:
+            np.lib.format.write_array(f, arrays[name], allow_pickle=False)
 
 
 def load_index(path: str | Path) -> PositionalIndex:
+    """Read an index written by `save_index`, checking that its arrays are
+    consistent; any fault raises DataFormatError."""
     try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as e:
-        raise DataFormatError(f"cannot read index file {path}: {e}") from e
-    if payload.get("format") != "relsim-index-v1":
-        raise DataFormatError(f"{path} is not a relsim index file")
-    postings = {t: [(d, p) for d, p in plist]
-                for t, plist in payload["postings"].items()}
-    doc_lengths = {int(k): v for k, v in payload["doc_lengths"].items()}
-    return PositionalIndex(postings, doc_lengths, payload["corpus_digest"])
+        with Path(path).open("rb") as f:
+            magic = f.read(len(INDEX_MAGIC))
+            if magic[:1] == b"{":
+                raise DataFormatError(
+                    f"{path} is a relsim-index-v1 (JSON) file, a format no longer read; "
+                    "rebuild the index with `relsim index build`")
+            if magic != INDEX_MAGIC:
+                raise DataFormatError(f"{path} is not a relsim index file")
+            arrays = {name: np.lib.format.read_array(f, allow_pickle=False)
+                      for name, _ in _FILE_ARRAYS}
+            if f.read(1):
+                raise DataFormatError(f"{path}: unexpected data after the last array")
+            return _index_from_arrays(arrays, path)
+    except (OSError, ValueError, EOFError) as e:
+        raise DataFormatError(f"cannot read index file {path}: {e}") from None
+
+
+def _index_from_arrays(a: dict[str, np.ndarray], path: str | Path) -> PositionalIndex:
+    def fault(what: str) -> DataFormatError:
+        return DataFormatError(f"{path}: {what}")
+
+    for name, dtype in _FILE_ARRAYS:
+        if a[name].dtype != np.dtype(dtype) or a[name].ndim != 1:
+            raise fault(f"array {name} is not 1-D {np.dtype(dtype)}")
+    text = a["vocab_text"].tobytes().decode("utf-8")
+    bounds = np.concatenate(([0], a["vocab_ends"]))
+    if np.any(np.diff(bounds) < 0) or bounds[-1] != len(text):
+        raise fault("vocabulary ends do not cut the vocabulary text")
+    bounds = bounds.tolist()
+    vocab = tuple(text[s:e] for s, e in zip(bounds, bounds[1:]))
+    if any(s >= t for s, t in zip(vocab, vocab[1:])):
+        raise fault("vocabulary is not sorted and unique")
+    offsets, positions = a["offsets"], a["positions"]
+    n = len(positions)
+    if len(offsets) != len(vocab) + 1 or offsets[0] != 0 or offsets[-1] != n \
+            or np.any(np.diff(offsets) < 0):
+        raise fault("offsets do not cut the positions per term")
+    if n and (positions.min() < 0 or positions.max() >= n):
+        raise fault("a position lies outside the corpus")
+    ascending = np.diff(positions) > 0
+    cuts = offsets[1:-1]
+    ascending[cuts[(cuts > 0) & (cuts < n)] - 1] = True
+    if not ascending.all():
+        raise fault("a term's positions are not ascending")
+    ids, starts, lens = a["doc_ids"], a["doc_starts"], a["doc_lens"]
+    if not (len(ids) == len(starts) == len(lens)) or np.any(np.diff(ids) <= 0) \
+            or (len(ids) and ids[0] < 0) or np.any(lens < 0) or int(lens.sum()) != n \
+            or np.any(starts != np.cumsum(lens) - lens):
+        raise fault("document arrays are inconsistent")
+    return PositionalIndex(vocab, offsets, positions, ids, starts, lens,
+                           a["corpus_digest"].tobytes().decode("ascii"))

@@ -88,6 +88,9 @@ def load_labeled_pairs(path: str | Path) -> list[LabeledNounModifier]:
         if len(fields) < 3:
             raise DataFormatError(f"{path}:{lineno}: expected modifier, head, class")
         modifier, head, label = (f.strip().lower() for f in fields[:3])
+        if not modifier or not head or ":" in modifier + head:
+            raise DataFormatError(f"{path}:{lineno}: bad pair {modifier!r}, {head!r}, "
+                                  "expected two non-empty members without ':'")
         if label not in _GROUP_OF:
             raise DataFormatError(f"{path}:{lineno}: unknown relation class {label!r}")
         items.append(LabeledNounModifier(modifier, head, label))

@@ -29,12 +29,14 @@ NOUNMOD_GRID = (-0.03, 0.03, 0.01)
 
 
 def grid_thresholds(lo: float, hi: float, step: float) -> list[float]:
-    """lo, lo + step, ... up to hi, each rounded to 10 places."""
+    """lo, lo + step, ... up to hi (never past it), each rounded to 10 places."""
     if not all(math.isfinite(x) for x in (lo, hi, step)):
         raise ValueError("grid bounds and step must be finite")
     if step <= 0 or lo > hi:
         raise ValueError("a grid needs lo <= hi and step > 0")
-    n = round((hi - lo) / step)
+    # The tolerance keeps hi itself when (hi - lo) / step lands just below
+    # a whole number, as 0.22 / 0.01 does.
+    n = math.floor((hi - lo) / step + 1e-9)
     return [round(lo + i * step, 10) for i in range(n + 1)]
 
 

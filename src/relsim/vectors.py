@@ -16,7 +16,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ProviderError
-from .index import CountMode, PositionalIndex, count_hits, parse_phrase
+from .index import (CountMode, PatternKind, PositionalIndex, TokenPattern, count_matches,
+                    parse_phrase, tokenize)
 
 HitCountProvider = Callable[[str], int]
 
@@ -71,8 +72,11 @@ def stem(word: str) -> str:
 
 
 def _member_pattern(member: str) -> str:
-    """Query fragment for one pair member; only the final token is stemmed."""
-    tokens = member.lower().replace("_", " ").split()
+    """Query fragment for one pair member: its tokens ("x-ray" and "x_ray"
+    give "x ray"), with only the final token stemmed."""
+    tokens = tokenize(member)
+    if not tokens:
+        raise ValueError(f"pair member {member!r} has no token characters")
     return " ".join(tokens[:-1] + [stem(tokens[-1])])
 
 
@@ -138,7 +142,9 @@ def cosine(v1, v2) -> float:
 class LocalIndexProvider:
     """Hit-count provider backed by a local positional index.
 
-    Safe for concurrent queries; results are memoized per phrase string.
+    Safe for concurrent queries. Counts are memoized per phrase string, and
+    each unit's positions per unit, so a pair member's wildcard is expanded
+    once, not in each of its 128 queries.
     """
 
     def __init__(self, index: PositionalIndex,
@@ -146,10 +152,19 @@ class LocalIndexProvider:
         self.index = index
         self.mode = mode
         self._memo: dict[str, int] = {}
+        self._units: dict[TokenPattern, np.ndarray] = {}
+
+    def _positions(self, pattern: TokenPattern) -> np.ndarray | None:
+        if pattern.kind is PatternKind.ANY_WORD:
+            return None
+        found = self._units.get(pattern)
+        if found is None:
+            found = self._units[pattern] = self.index.unit_positions(pattern)
+        return found
 
     def __call__(self, phrase: str) -> int:
         cached = self._memo.get(phrase)
         if cached is None:
-            cached = count_hits(self.index, parse_phrase(phrase), self.mode).count
-            self._memo[phrase] = cached
+            units = [self._positions(p) for p in parse_phrase(phrase).patterns]
+            cached = self._memo[phrase] = count_matches(self.index, units, self.mode)
         return cached

@@ -8,7 +8,7 @@ from relsim.analogy import (AnalogyQuestion, GuessOutcome, cumulative_top_k,
                             question_rng, rank_of, rank_pool, raw_sat_score,
                             score_choices, solve_all)
 from relsim.errors import DataFormatError
-from relsim.sweep import grid_thresholds, sat_sweep
+from relsim.sweep import NOUNMOD_GRID, SAT_GRID, grid_thresholds, sat_sweep
 from relsim.vectors import RelationVector, WordPair
 
 # Cosines from the worked traffic:street example; the answer is choice (e).
@@ -234,6 +234,16 @@ class TestSweep:
     def test_grid_arithmetic(self):
         assert len(grid_thresholds(-0.11, 0.11, 0.01)) == 23
         assert len(grid_thresholds(-0.03, 0.03, 0.01)) == 7
+
+    def test_paper_grids_unchanged(self):
+        assert grid_thresholds(*SAT_GRID) == [round(-0.11 + i / 100, 2) for i in range(23)]
+        assert grid_thresholds(*NOUNMOD_GRID) == [-0.03, -0.02, -0.01, 0.0, 0.01, 0.02, 0.03]
+
+    @pytest.mark.parametrize("lo, hi, step, expected", [
+        (0, 0.1, 0.06, [0.0, 0.06]), (0, 0.1, 0.04, [0.0, 0.04, 0.08]),
+        (0, 0.1, 0.05, [0.0, 0.05, 0.1]), (0.3, 0.3, 0.1, [0.3]), (0, 0.1, 0.3, [0.0])])
+    def test_grid_never_passes_hi(self, lo, hi, step, expected):
+        assert grid_thresholds(lo, hi, step) == expected
 
     def test_monotonic_columns(self):
         questions, vectors = self.make_fixture()

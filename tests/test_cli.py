@@ -282,3 +282,44 @@ class TestInputErrors:
                                 "-o", str(tmp_path / "idx.json"))
         assert code == 1
         assert str(corpus) in err and "internal error" not in err
+
+    def test_colon_in_labelled_member_exits_one(self, capsys, built_index, tmp_path):
+        data = tmp_path / "nm.tsv"
+        data.write_text("water\triverbed\tloc\ntraffic:jam\tstreet\tloc\n")
+        cache = tmp_path / "nmcache.tsv"
+        code, _, err = run_main(capsys, "vectors", str(data), "--index", str(built_index),
+                                "--cache", str(cache), "--format", "nounmod")
+        assert code == 1, err
+        assert f"{data}:2" in err
+        assert not cache.exists()
+
+    def test_member_without_token_characters_exits_one(self, capsys, built_index, tmp_path):
+        pairs = tmp_path / "pairs.tsv"
+        pairs.write_text("water\triverbed\n--\tstreet\n")
+        code, _, err = run_main(capsys, "vectors", str(pairs), "--index", str(built_index),
+                                "--cache", str(tmp_path / "cache.tsv"))
+        assert code == 1, err
+        assert "'--'" in err and "internal error" not in err
+
+    def test_v1_json_index_exits_one(self, capsys, tmp_path):
+        old = tmp_path / "old.idx"
+        old.write_text('{"corpus_digest":"d","doc_lengths":{"0":1},'
+                       '"format":"relsim-index-v1","postings":{"a":[[0,0]]}}')
+        pairs = tmp_path / "pairs.tsv"
+        pairs.write_text("water\triverbed\n")
+        code, _, err = run_main(capsys, "vectors", str(pairs), "--index", str(old),
+                                "--cache", str(tmp_path / "cache.tsv"))
+        assert code == 1, err
+        assert "relsim index build" in err
+
+    @pytest.mark.parametrize("keep", [0.3, 0.99])
+    def test_truncated_index_exits_one(self, capsys, built_index, tmp_path, keep):
+        data = built_index.read_bytes()
+        cut = tmp_path / "cut.idx"
+        cut.write_bytes(data[:int(len(data) * keep)])
+        pairs = tmp_path / "pairs.tsv"
+        pairs.write_text("water\triverbed\n")
+        code, _, err = run_main(capsys, "vectors", str(pairs), "--index", str(cut),
+                                "--cache", str(tmp_path / "cache.tsv"))
+        assert code == 1, err
+        assert str(cut) in err and "internal error" not in err

@@ -1,13 +1,18 @@
 import random
 import string
+import tempfile
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relsim.errors import DuplicateDocIdError, PhraseSyntaxError
-from relsim.index import (CountMode, Document, PatternKind, build_index,
-                          count_hits, match_token, parse_phrase, tokenize)
+from relsim import index as index_mod
+from relsim.errors import DataFormatError, DuplicateDocIdError, InputError, PhraseSyntaxError
+from relsim.index import (CountMode, Document, PatternKind, PositionalIndex, build_index,
+                          count_hits, load_index, match_token, parse_phrase, save_index,
+                          tokenize)
 
 from oracles import oracle_count
 
@@ -49,6 +54,35 @@ class TestBuildIndex:
     def test_duplicate_doc_id_rejected(self):
         with pytest.raises(DuplicateDocIdError):
             build_index([Document(3, ("a",)), Document(3, ("b",))])
+
+    def test_postings_in_doc_id_order(self):
+        idx = build_index([Document(9, ("b", "a")), Document(2, ()), Document(4, ("a", "a"))])
+        assert idx.postings["a"] == [(4, 0), (4, 1), (9, 1)]
+        assert idx.doc_lengths == {2: 0, 4: 2, 9: 2}
+        assert "a" in idx.postings and "c" not in idx.postings and 3 not in idx.postings
+        assert list(idx.postings) == ["a", "b"] and len(idx.postings) == 2
+        with pytest.raises(KeyError):
+            idx.postings["c"]
+
+    def test_arrays_are_read_only(self):
+        idx = build_index([Document(0, ("a", "b"))])
+        with pytest.raises(ValueError):
+            idx.positions[0] = 1
+
+    def test_digest_pinned(self):
+        # Vector caches record this digest; changing it orphans every cache.
+        docs = [Document(7, ("the", "mason", "cut", "the", "stone")), Document(2, ()),
+                Document(3, ("stone", "of", "the", "mason")), Document(11, ("caf", "x", "ray"))]
+        assert build_index(docs).corpus_digest == \
+            "80b977c3ccc35f78d0846799188a623a25991cce3045474224feb10aeb719855"
+        assert build_index([]).corpus_digest == \
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+
+    def test_token_limit(self, monkeypatch):
+        monkeypatch.setattr(index_mod, "MAX_TOKENS", 3)
+        build_index([Document(0, ("a", "b")), Document(1, ("c",))])
+        with pytest.raises(InputError, match="at most 3"):
+            build_index([Document(0, ("a", "b")), Document(1, ("c", "d"))])
 
     def test_deterministic(self):
         docs = [Document(i, tuple(random.Random(i).choices("abcde", k=10))) for i in range(5)]
@@ -190,3 +224,107 @@ def test_rebuild_gives_identical_counts():
     for _ in range(20):
         q = parse_phrase(" ".join(random_query_units(rng)))
         assert count_hits(idx1, q).count == count_hits(idx2, q).count
+
+
+CORPUS_TOKENS = ["cat", "cats", "catalog", "dog", "the", "of", "a", "limit", "limits",
+                 "colour", "color", "restrain", "restrained"]
+QUERY_UNITS = ["cat", "dog", "the", "of", "a", "limit*", "colo*r", "res*n", "restrai*",
+               "cat*", "cata*g", "zebra"]
+
+
+@st.composite
+def corpora(draw):
+    """Token lists with unsorted, non-contiguous, unique doc ids; empty
+    documents and an empty corpus included."""
+    texts = draw(st.lists(st.lists(st.sampled_from(CORPUS_TOKENS), max_size=12), max_size=8))
+    ids = draw(st.lists(st.integers(0, 10**6), min_size=len(texts), max_size=len(texts),
+                        unique=True))
+    return texts, ids
+
+
+@st.composite
+def query_units(draw):
+    inner = draw(st.lists(st.sampled_from(QUERY_UNITS + ["*"]), max_size=3))
+    return [draw(st.sampled_from(QUERY_UNITS))] + inner + \
+        ([draw(st.sampled_from(QUERY_UNITS))] if inner else [])
+
+
+@settings(max_examples=300, deadline=None)
+@given(corpora(), st.lists(query_units(), min_size=1, max_size=5))
+def test_count_hits_matches_oracle(corpus, queries):
+    texts, ids = corpus
+    idx = build_index([Document(i, tuple(t)) for i, t in zip(ids, texts)])
+    for units in queries:
+        q = parse_phrase(" ".join(units))
+        for mode, name in ((CountMode.DOCUMENT_HITS, "document"),
+                           (CountMode.OCCURRENCES, "occurrence")):
+            assert count_hits(idx, q, mode).count == oracle_count(texts, units, name), \
+                (units, name)
+
+
+@settings(max_examples=100, deadline=None)
+@given(corpora())
+def test_save_load_round_trip(corpus):
+    texts, ids = corpus
+    idx = build_index([Document(i, tuple(t)) for i, t in zip(ids, texts)])
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "corpus.idx"
+        save_index(idx, path)
+        loaded = load_index(path)
+    assert dict(loaded.postings) == dict(idx.postings)
+    assert loaded.doc_lengths == idx.doc_lengths
+    assert loaded.corpus_digest == idx.corpus_digest
+
+
+def test_save_is_deterministic_and_compact(tmp_path):
+    docs = [Document(i, tuple(random.Random(i).choices("abcde", k=50))) for i in range(20)]
+    a, b = tmp_path / "a.idx", tmp_path / "b.idx"
+    save_index(build_index(docs), a)
+    save_index(build_index(docs), b)
+    assert a.read_bytes() == b.read_bytes()
+    assert a.read_bytes().startswith(b"relsim-index-v2\n")
+    assert not list(tmp_path.glob(".*"))  # no temporary files left behind
+
+
+def _corrupt(idx, **changes):
+    fields = {f: getattr(idx, f) for f in ("vocab", "offsets", "positions", "doc_ids",
+                                           "doc_starts", "doc_lens", "corpus_digest")}
+    return PositionalIndex(**{**fields, **changes})
+
+
+@pytest.mark.parametrize("change", [
+    lambda ix: _corrupt(ix, positions=ix.positions.astype(np.int64)),
+    lambda ix: _corrupt(ix, positions=np.where(ix.positions == 0, 99, ix.positions)
+                        .astype(np.int32)),
+    lambda ix: _corrupt(ix, positions=ix.positions[[0, 2, 1, 3, 4, 5, 6]]),  # cat: 4, 1
+    lambda ix: _corrupt(ix, offsets=np.minimum(ix.offsets, ix.offsets[-2])),
+    lambda ix: _corrupt(ix, offsets=ix.offsets[[0, 2, 1, 3, 4, 5]]),
+    lambda ix: _corrupt(ix, vocab=tuple(reversed(ix.vocab))),
+    lambda ix: _corrupt(ix, doc_lens=ix.doc_lens[::-1].copy()),
+    lambda ix: _corrupt(ix, doc_starts=ix.doc_starts + 1),
+    lambda ix: _corrupt(ix, doc_ids=ix.doc_ids[::-1].copy()),
+])
+def test_inconsistent_file_rejected(tmp_path, change):
+    idx = build_index([Document(5, ("the", "cat", "sat", "on")), Document(1, ("a", "cat", "on")),
+                       Document(2, ())])
+    path = tmp_path / "bad.idx"
+    save_index(change(idx), path)
+    with pytest.raises(DataFormatError, match=str(path)):
+        load_index(path)
+
+
+@pytest.mark.parametrize("data", [b"", b"relsim-index-v1\n", b"not an index",
+                                  b'{"format": "relsim-index-v1"}'])
+def test_foreign_file_rejected(tmp_path, data):
+    path = tmp_path / "x.idx"
+    path.write_bytes(data)
+    with pytest.raises(DataFormatError):
+        load_index(path)
+
+
+def test_trailing_bytes_rejected(tmp_path):
+    path = tmp_path / "x.idx"
+    save_index(build_index([Document(0, ("a",))]), path)
+    path.write_bytes(path.read_bytes() + b"\0")
+    with pytest.raises(DataFormatError, match="after the last array"):
+        load_index(path)

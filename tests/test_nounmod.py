@@ -213,3 +213,11 @@ class TestDataFile:
         with pytest.raises(DataFormatError) as exc:
             load_labeled_pairs(p)
         assert ":2" in str(exc.value)
+
+    @pytest.mark.parametrize("line", ["a:b\tc\tloc", "a\tb:c\tloc", "\tc\tloc", "a\t \tloc"])
+    def test_bad_member_reports_line(self, tmp_path, line):
+        p = tmp_path / "nm.tsv"
+        p.write_text(f"laser\tprinter\tinst\n{line}\n")
+        with pytest.raises(DataFormatError) as exc:
+            load_labeled_pairs(p)
+        assert f"{p}:2" in str(exc.value)

@@ -91,6 +91,25 @@ class TestGenerateQueries:
         qs = generate_queries(WordPair("shoot_down", "argument"), TERMS)
         assert qs[0] == "shoot down* argument*"
 
+    @pytest.mark.parametrize("member, pattern", [("x-ray", "x ray*"), ("o'clock", "o clock*"),
+                                                 ("X-Ray", "x ray*"), ("don't", "don t")])
+    def test_punctuation_splits_member_into_tokens(self, member, pattern):
+        qs = generate_queries(WordPair(member, "bone"), TERMS)
+        assert qs[0] == f"{pattern} bone*"
+        assert qs[1] == f"bone* {pattern}"
+
+    def test_punctuated_member_counts_like_its_tokens(self):
+        idx = build_index([Document(0, ("x", "ray", "of", "bone"))])
+        provider = LocalIndexProvider(idx)
+        j = TERMS.index("of")
+        assert build_vector(provider, WordPair("x-ray", "bone"), TERMS).raw[2 * j] == 1
+        assert build_vector(provider, WordPair("x_ray", "bone"), TERMS).raw[2 * j] == 1
+
+    @pytest.mark.parametrize("member", ["-", "'", "?!"])
+    def test_member_without_token_characters_rejected(self, member):
+        with pytest.raises(ValueError, match="no token characters"):
+            generate_queries(WordPair(member, "bone"), TERMS)
+
     @given(st.tuples(words, words))
     def test_all_queries_parse(self, pair):
         x, y = pair
