@@ -11,6 +11,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DataFormatError
+from .fileio import read_utf8
 from .similarity import question_rng  # noqa: F401  (part of this module's API)
 from .similarity import TopTwo, cosines_to, margin_rule, nearest_two, top_two
 from .vectors import RelationVector, WordPair
@@ -201,7 +202,7 @@ def load_questions(path: str | Path) -> list[AnalogyQuestion]:
     with '#' are comments.
     """
     questions = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(read_utf8(path).splitlines(), 1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         fields = line.rstrip("\n").split("\t")

@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .errors import CacheProvenanceError, DataFormatError
-from .fileio import atomic_write
+from .fileio import atomic_write, read_utf8
 from .vectors import RelationVector, WordPair
 
 _MAGIC = "# relsim-vector-cache v1"
@@ -55,7 +55,7 @@ def load_cache(path: str | Path, corpus_digest: str | None = None,
     Passing None for a digest skips that check (trust the cache header).
     """
     path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
+    lines = read_utf8(path).splitlines()
     if not lines or lines[0] != _MAGIC:
         raise DataFormatError(f"{path} is not a relsim vector cache")
     header = {}

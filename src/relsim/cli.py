@@ -14,6 +14,7 @@ import click
 from . import analogy, sweep
 from .cache import VectorCache, load_cache
 from .errors import DataFormatError, InputError
+from .fileio import atomic_write, read_utf8
 from .index import (CountMode, build_index, load_corpus, load_index,
                     save_index)
 from .nounmod import GROUPS, load_labeled_pairs, loocv, macroaverage
@@ -78,7 +79,7 @@ def _extract_pairs(path: str, fmt: str) -> list[WordPair]:
         return [item.pair() for item in load_labeled_pairs(path)]
     # plain pairs: one per line, "x<TAB>y" or "x:y"
     pairs = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(read_utf8(path).splitlines(), 1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         if "\t" in line:
@@ -164,7 +165,8 @@ def _parse_sweep_spec(spec: str):
 def _emit_sweep(rows, csv_path):
     csv_text = sweep.rows_to_csv(rows)
     if csv_path:
-        Path(csv_path).write_text(csv_text, encoding="utf-8")
+        with atomic_write(csv_path) as f:
+            f.write(csv_text.encode("utf-8"))
         click.echo(f"wrote {len(rows)} rows to {csv_path}")
     else:
         click.echo(csv_text, nl=False)

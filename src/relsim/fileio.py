@@ -1,4 +1,5 @@
-"""Atomic file replacement for the files relsim writes (index, vector cache)."""
+"""File helpers: UTF-8 reading of input files, and atomic replacement of the
+files relsim writes (index, vector cache, sweep CSV)."""
 
 from __future__ import annotations
 
@@ -7,6 +8,18 @@ import uuid
 from contextlib import contextmanager
 from pathlib import Path
 from typing import BinaryIO, Iterator
+
+from .errors import DataFormatError
+
+
+def read_utf8(path: str | Path) -> str:
+    """The text of a UTF-8 file; other bytes raise DataFormatError naming it."""
+    path = Path(path)
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise DataFormatError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") \
+            from None
 
 
 @contextmanager

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataFormatError, DuplicateDocIdError, InputError, PhraseSyntaxError
-from .fileio import atomic_write
+from .fileio import atomic_write, read_utf8
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
@@ -114,10 +114,14 @@ class PhraseQuery:
         return len(self.patterns)
 
 
-def parse_phrase(q: str) -> PhraseQuery:
-    """Parse a whitespace-separated phrase query string."""
+def parse_units(text: str) -> tuple[TokenPattern, ...]:
+    """Parse whitespace-separated units into patterns; empty text gives none.
+
+    Unlike parse_phrase, a standalone '*' may come first or last, so a
+    joining term such as "* not" parses on its own.
+    """
     patterns: list[TokenPattern] = []
-    for unit in q.lower().split():
+    for unit in text.lower().split():
         if unit == "*":
             patterns.append(TokenPattern.any_word())
         elif "*" in unit:
@@ -132,9 +136,12 @@ def parse_phrase(q: str) -> PhraseQuery:
             if not toks:
                 raise PhraseSyntaxError(f"unit {unit!r} contains no token characters")
             patterns.extend(TokenPattern.literal(t) for t in toks)
-    if not patterns:
-        raise PhraseSyntaxError("phrase query is empty")
-    return PhraseQuery(tuple(patterns))
+    return tuple(patterns)
+
+
+def parse_phrase(q: str) -> PhraseQuery:
+    """Parse a whitespace-separated phrase query string."""
+    return PhraseQuery(parse_units(q))
 
 
 class CountMode(enum.Enum):
@@ -288,23 +295,23 @@ def build_index(docs: Sequence[Document]) -> PositionalIndex:
                            np.cumsum(doc_lens) - doc_lens, doc_lens, digest.hexdigest())
 
 
-def _contains(sorted_values: np.ndarray, x: np.ndarray) -> np.ndarray:
+def in_sorted(sorted_values: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Mask of the elements of x found in sorted_values, by binary search."""
     if not len(sorted_values):
         return np.zeros(len(x), dtype=bool)
-    i = np.searchsorted(sorted_values, x)
+    i = sorted_values.searchsorted(x)
     return sorted_values[np.minimum(i, len(sorted_values) - 1)] == x
 
 
-def count_matches(index: PositionalIndex, units: Sequence[np.ndarray | None],
-                  mode: CountMode) -> int:
-    """Count the matches of a phrase, given for each unit the ascending
-    global positions it matches (None for a standalone '*').
+def match_starts(index: PositionalIndex, units: Sequence[np.ndarray | None]) -> np.ndarray:
+    """Ascending global positions s at which each unit j holds s + j, given
+    for each unit the ascending global positions it matches (None for a
+    standalone '*', which holds any position). The span may cross a
+    document end; see whole_matches.
 
     The smallest unit's positions, shifted back by its offset in the
     phrase, are the candidate starts; each other unit keeps the starts it
-    matches at its own offset, and a match must end in the document it
-    starts in.
+    matches at its own offset.
     """
     n = len(units)
     anchor = min((len(u), j) for j, u in enumerate(units) if u is not None)[1]
@@ -313,12 +320,32 @@ def count_matches(index: PositionalIndex, units: Sequence[np.ndarray | None],
     starts = starts[(starts >= 0) & (starts <= index.token_count - n)]
     for j, unit in enumerate(units):
         if unit is not None and j != anchor and len(starts):
-            starts = starts[_contains(unit, starts + j)]
+            starts = starts[in_sorted(unit, starts + j)]
+    return starts
+
+
+def whole_matches(index: PositionalIndex, starts: np.ndarray,
+                  n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The starts whose n-token span ends in the document it starts in,
+    and the row in the document arrays of that document."""
     doc = index.doc_index(starts)
     inside = starts + n <= index.doc_starts[doc] + index.doc_lens[doc]
-    if mode is CountMode.OCCURRENCES:
-        return int(np.count_nonzero(inside))
-    return len(np.unique(doc[inside]))
+    return starts[inside], doc[inside]
+
+
+def tally(doc: np.ndarray, mode: CountMode) -> int:
+    """The count of matches given the document row of each one, ascending."""
+    if mode is CountMode.OCCURRENCES or len(doc) < 2:
+        return len(doc)
+    return int(np.count_nonzero(doc[1:] != doc[:-1])) + 1
+
+
+def count_matches(index: PositionalIndex, units: Sequence[np.ndarray | None],
+                  mode: CountMode) -> int:
+    """Count the matches of a phrase, given for each unit the ascending
+    global positions it matches (None for a standalone '*'); a match must
+    end in the document it starts in."""
+    return tally(whole_matches(index, match_starts(index, units), len(units))[1], mode)
 
 
 def count_hits(index: PositionalIndex, q: PhraseQuery,
@@ -339,14 +366,6 @@ def count_hits(index: PositionalIndex, q: PhraseQuery,
 DOC_SEPARATOR = "%%"
 
 
-def _read_utf8(path: Path) -> str:
-    try:
-        return path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as e:
-        raise DataFormatError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") \
-            from None
-
-
 def load_corpus(path: str | Path) -> list[Document]:
     """Load a corpus from a directory of text files or a single %%-separated file.
 
@@ -357,12 +376,12 @@ def load_corpus(path: str | Path) -> list[Document]:
     path = Path(path)
     if path.is_dir():
         files = sorted(p for p in path.iterdir() if p.is_file())
-        return [Document(i, tuple(tokenize(_read_utf8(p))))
+        return [Document(i, tuple(tokenize(read_utf8(p))))
                 for i, p in enumerate(files)]
     if not path.is_file():
         raise DataFormatError(f"corpus path not found: {path}")
     sections: list[list[str]] = [[]]
-    for line in _read_utf8(path).splitlines():
+    for line in read_utf8(path).splitlines():
         if line.strip() == DOC_SEPARATOR:
             sections.append([])
         else:

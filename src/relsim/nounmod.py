@@ -15,6 +15,7 @@ from typing import Sequence
 
 from .analogy import f_measure
 from .errors import DataFormatError
+from .fileio import read_utf8
 from .similarity import cosines_to, leave_one_out, margin_rule, nearest_two, top_two
 from .vectors import RelationVector, WordPair
 
@@ -81,7 +82,7 @@ def load_labeled_pairs(path: str | Path) -> list[LabeledNounModifier]:
     """TSV: modifier, head, class abbreviation; extra columns ignored,
     '#' lines are comments."""
     items = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(read_utf8(path).splitlines(), 1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         fields = line.rstrip("\n").split("\t")

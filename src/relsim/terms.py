@@ -2,7 +2,9 @@
 
 The first entry is the empty term (the two words are simply adjacent).
 The table is overridable by pointing at another file of the same shape,
-one term per line, blank line = empty term.
+one term per line, blank line = empty term. Every term must follow the
+phrase wildcard grammar (index.parse_units); a standalone '*' may come
+first or last, since a member stands on each side of the term.
 """
 
 from __future__ import annotations
@@ -11,12 +13,14 @@ import hashlib
 from importlib import resources
 from pathlib import Path
 
-from .errors import DataFormatError
+from .errors import DataFormatError, PhraseSyntaxError
+from .fileio import read_utf8
+from .index import parse_units
 
 TERM_COUNT = 64
 
 
-def _parse(text: str) -> tuple[str, ...]:
+def _parse(text: str, source: str) -> tuple[str, ...]:
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines = lines[:-1]  # trailing newline
@@ -25,16 +29,22 @@ def _parse(text: str) -> tuple[str, ...]:
         raise DataFormatError(
             f"joining-term table must have exactly {TERM_COUNT} entries, got {len(terms)}"
         )
+    for lineno, term in enumerate(terms, 1):
+        try:
+            parse_units(term)
+        except PhraseSyntaxError as e:
+            raise DataFormatError(f"{source}:{lineno}: bad joining term {term!r}: {e}") \
+                from None
     return terms
 
 
 def default_joining_terms() -> tuple[str, ...]:
     text = resources.files("relsim.data").joinpath("joining_terms.txt").read_text("utf-8")
-    return _parse(text)
+    return _parse(text, "relsim/data/joining_terms.txt")
 
 
 def load_joining_terms(path: str | Path) -> tuple[str, ...]:
-    return _parse(Path(path).read_text(encoding="utf-8"))
+    return _parse(read_utf8(path), str(path))
 
 
 def terms_checksum(terms: tuple[str, ...] | list[str]) -> str:

@@ -5,6 +5,13 @@ for each of the 64 joining terms, "stem(x) term stem(y)" and
 "stem(y) term stem(x)", in that order. Vector elements are ln(count + 1);
 the log base is immaterial to cosines and natural log is fixed for
 reproducible caches.
+
+The 128 phrases of a pair differ only in the term between the members, so
+a local index counts them per pair rather than per phrase
+(LocalIndexProvider.pair_counts): each member's match starts are found
+once, the two members are joined once per word order and term length,
+and each term then filters that small candidate set by its own units.
+Any other provider is called once per phrase string.
 """
 
 from __future__ import annotations
@@ -15,9 +22,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ProviderError
+from .errors import PhraseSyntaxError, ProviderError
 from .index import (CountMode, PatternKind, PositionalIndex, TokenPattern, count_matches,
-                    parse_phrase, tokenize)
+                    in_sorted, match_starts, parse_phrase, parse_units, tally, tokenize,
+                    whole_matches)
 
 HitCountProvider = Callable[[str], int]
 
@@ -80,6 +88,10 @@ def _member_pattern(member: str) -> str:
     return " ".join(tokens[:-1] + [stem(tokens[-1])])
 
 
+def _query(first: str, term: str, second: str) -> str:
+    return " ".join(part for part in (first, term, second) if part)
+
+
 def generate_queries(pair: WordPair, terms: Sequence[str]) -> list[str]:
     """The 2 * len(terms) phrase queries for a pair, in fixed order.
 
@@ -89,8 +101,8 @@ def generate_queries(pair: WordPair, terms: Sequence[str]) -> list[str]:
     py = _member_pattern(pair.y)
     queries = []
     for term in terms:
-        queries.append(" ".join(part for part in (px, term, py) if part))
-        queries.append(" ".join(part for part in (py, term, px) if part))
+        queries.append(_query(px, term, py))
+        queries.append(_query(py, term, px))
     return queries
 
 
@@ -116,7 +128,14 @@ class RelationVector:
 
 def build_vector(provider: HitCountProvider, pair: WordPair,
                  terms: Sequence[str]) -> RelationVector:
-    """Query the provider for all 128 phrases and log-transform the counts."""
+    """Count the 128 phrases of a pair and log-transform the counts.
+
+    A LocalIndexProvider counts them with one member join per term length
+    (LocalIndexProvider.pair_counts); any other provider is called once
+    per phrase of generate_queries.
+    """
+    if isinstance(provider, LocalIndexProvider):
+        return RelationVector.from_raw(pair, provider.pair_counts(pair, terms))
     raw = []
     for query in generate_queries(pair, terms):
         try:
@@ -142,9 +161,12 @@ def cosine(v1, v2) -> float:
 class LocalIndexProvider:
     """Hit-count provider backed by a local positional index.
 
-    Safe for concurrent queries. Counts are memoized per phrase string, and
-    each unit's positions per unit, so a pair member's wildcard is expanded
-    once, not in each of its 128 queries.
+    Safe for concurrent queries. Called with a phrase, it counts that
+    phrase, and memoizes the count per phrase string. pair_counts, which
+    build_vector uses, counts all the phrases of a pair with one member
+    join per word order and term length, not one scan per phrase. Each
+    unit's positions are memoized per unit, so a pair member's wildcard is
+    expanded once, not in each of its 128 phrases.
     """
 
     def __init__(self, index: PositionalIndex,
@@ -153,6 +175,7 @@ class LocalIndexProvider:
         self.mode = mode
         self._memo: dict[str, int] = {}
         self._units: dict[TokenPattern, np.ndarray] = {}
+        self._table: tuple[tuple[str, ...], dict] | None = None
 
     def _positions(self, pattern: TokenPattern) -> np.ndarray | None:
         if pattern.kind is PatternKind.ANY_WORD:
@@ -168,3 +191,61 @@ class LocalIndexProvider:
             units = [self._positions(p) for p in parse_phrase(phrase).patterns]
             cached = self._memo[phrase] = count_matches(self.index, units, self.mode)
         return cached
+
+    def _term_table(self, terms: Sequence[str], px: str, py: str):
+        """Term length -> [(term number, [(offset, positions) of each unit
+        that is not a standalone '*'])], parsed once per term list. A term
+        that does not parse raises ProviderError naming the phrase
+        "px term py", the first phrase the phrase path would fail on."""
+        terms = tuple(terms)
+        table = self._table
+        if table is None or table[0] != terms:
+            gaps: dict[int, list] = {}
+            for j, term in enumerate(terms):
+                try:
+                    units = parse_units(term)
+                except PhraseSyntaxError as e:
+                    raise ProviderError(_query(px, term, py), e) from e
+                gaps.setdefault(len(units), []).append(
+                    (j, [(i, self._positions(p)) for i, p in enumerate(units)
+                         if p.kind is not PatternKind.ANY_WORD]))
+            table = self._table = (terms, gaps)
+        return table[1]
+
+    def pair_counts(self, pair: WordPair, terms: Sequence[str]) -> list[int]:
+        """The counts of generate_queries(pair, terms), in its order.
+
+        Each member's match starts are found once. For each word order and
+        each term length g, one join keeps the starts s of the first member
+        (length la) whose second member starts at s + la + g, with the
+        whole span inside one document. Each term of length g then filters
+        that candidate set by its own units; an empty set counts 0 for
+        every term of that length.
+        """
+        px, py = _member_pattern(pair.x), _member_pattern(pair.y)
+        gaps = self._term_table(terms, px, py)
+        members = []
+        for pattern in (px, py):
+            units = [self._positions(p) for p in parse_units(pattern)]
+            members.append((len(units), match_starts(self.index, units)))
+        counts = [0] * (2 * len(terms))
+        last = self.index.token_count
+        for order, ((la, a), (lb, b)) in enumerate((members, members[::-1])):
+            if not len(a) or not len(b):
+                break  # a member that never matches makes every count 0
+            for g, group in gaps.items():
+                n = la + g + lb
+                # In range, so that no start + offset below overflows int32.
+                starts = a if a[-1] <= last - n else a[a <= last - n]
+                starts = starts[in_sorted(b, starts + (la + g))]
+                starts, doc = whole_matches(self.index, starts, n)
+                if not len(starts):
+                    continue
+                term_starts = starts + la
+                for j, checks in group:
+                    hit = None
+                    for i, positions in checks:
+                        found = in_sorted(positions, term_starts + i)
+                        hit = found if hit is None else hit & found
+                    counts[2 * j + order] = tally(doc if hit is None else doc[hit], self.mode)
+        return counts

@@ -323,3 +323,58 @@ class TestInputErrors:
                                 "--cache", str(tmp_path / "cache.tsv"))
         assert code == 1, err
         assert str(cut) in err and "internal error" not in err
+
+    @pytest.mark.parametrize("term, shown", [("ab*", "'ab*'"), ("a**b", "'a**b'"),
+                                             ("--", "'--'")])
+    def test_bad_joining_term_exits_one(self, capsys, built_index, tmp_path, term, shown):
+        terms = tmp_path / "terms.txt"
+        terms.write_text("\n".join(["", term] + ["of"] * 62) + "\n")
+        pairs = tmp_path / "pairs.tsv"
+        pairs.write_text("mason\tstone\n")
+        cache = tmp_path / "cache.tsv"
+        code, _, err = run_main(capsys, "vectors", str(pairs), "--index", str(built_index),
+                                "--cache", str(cache), "--terms", str(terms))
+        assert code == 1, err
+        assert f"{terms}:2" in err and shown in err and "internal error" not in err
+        assert not cache.exists()
+
+    def test_non_utf8_terms_file_exits_one(self, capsys, built_index, tmp_path):
+        terms = tmp_path / "terms.txt"
+        terms.write_bytes(("\n".join(["", "caf\u00e9"] + ["of"] * 62) + "\n").encode("latin-1"))
+        pairs = tmp_path / "pairs.tsv"
+        pairs.write_text("mason\tstone\n")
+        code, _, err = run_main(capsys, "vectors", str(pairs), "--index", str(built_index),
+                                "--cache", str(tmp_path / "cache.tsv"), "--terms", str(terms))
+        assert code == 1, err
+        assert str(terms) in err and "internal error" not in err
+
+    @pytest.mark.parametrize("bad", ["pairs", "questions", "labelled", "cache"])
+    def test_non_utf8_input_file_exits_one(self, capsys, built_index, sat_setup, nm_files,
+                                           tmp_path, bad):
+        q, cache = sat_setup
+        data, nm_cache = nm_files
+        latin = tmp_path / "latin1.tsv"
+        latin.write_bytes("caf\u00e9\tstreet\n".encode("latin-1"))
+        args = {"pairs": ["vectors", latin, "--index", built_index,
+                          "--cache", tmp_path / "new.tsv"],
+                "questions": ["sat", "solve", latin, "--cache", cache],
+                "labelled": ["nounmod", "eval", latin, "--cache", nm_cache],
+                "cache": ["sat", "solve", q, "--cache", latin]}[bad]
+        code, _, err = run_main(capsys, *map(str, args))
+        assert code == 1, err
+        assert f"{latin}: not UTF-8" in err
+
+    def test_interrupted_sweep_csv_keeps_old_file(self, capsys, monkeypatch, sat_setup,
+                                                  tmp_path):
+        q, cache = sat_setup
+        csv = tmp_path / "out.csv"
+        csv.write_text("old\n")
+
+        def fail(fd):
+            raise OSError("disk full")
+        monkeypatch.setattr("relsim.fileio.os.fsync", fail)
+        code, _, err = run_main(capsys, "sat", "solve", str(q), "--cache", str(cache),
+                                "--sweep", "-0.02:0.02:0.01", "--csv", str(csv))
+        assert code == 2 and "disk full" in err
+        assert csv.read_text() == "old\n"
+        assert sorted(p.name for p in tmp_path.iterdir() if p.name.startswith(".")) == []

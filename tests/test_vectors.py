@@ -1,18 +1,20 @@
 import math
+import random
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relsim.errors import ProviderError
-from relsim.index import CountMode, Document, build_index, parse_phrase
+from relsim.errors import DataFormatError, ProviderError
+from relsim.index import CountMode, Document, build_index, count_hits, parse_phrase
 from relsim.terms import (default_joining_terms, load_joining_terms,
                           terms_checksum)
 from relsim.vectors import (LocalIndexProvider, RelationVector, WordPair,
                             build_vector, cosine, generate_queries, stem)
 
 from oracles import oracle_cosine
+from test_acceptance import PLANT_PAIRS, planted_corpus
 
 TERMS = default_joining_terms()
 
@@ -69,6 +71,25 @@ class TestJoiningTerms:
         loaded = load_joining_terms(p)
         assert len(loaded) == 64 and loaded[0] == ""
         assert terms_checksum(loaded) != terms_checksum(TERMS)
+
+    @pytest.mark.parametrize("term", ["ab*", "a**b", "--", "1x*"])
+    def test_bad_term_names_its_line(self, tmp_path, term):
+        p = tmp_path / "terms.txt"
+        p.write_text("\n".join(["", "* not", term] + ["of"] * 61) + "\n")
+        with pytest.raises(DataFormatError) as exc:
+            load_joining_terms(p)
+        assert str(exc.value).startswith(f"{p}:3: bad joining term {term!r}")
+
+    def test_standalone_wildcard_terms_accepted(self, tmp_path):
+        p = tmp_path / "terms.txt"
+        p.write_text("\n".join(["", "*", "* *", "is *", "* not *"] + ["of"] * 59) + "\n")
+        assert load_joining_terms(p)[1:5] == ("*", "* *", "is *", "* not *")
+
+    def test_non_utf8_file_names_it(self, tmp_path):
+        p = tmp_path / "terms.txt"
+        p.write_bytes(("\n".join(["", "caf\u00e9"] + ["of"] * 62) + "\n").encode("latin-1"))
+        with pytest.raises(DataFormatError, match="not UTF-8"):
+            load_joining_terms(p)
 
 
 class TestGenerateQueries:
@@ -147,6 +168,14 @@ class TestBuildVector:
             build_vector(bad, WordPair("mason", "stone"), TERMS)
         assert "mason" in exc.value.query
 
+    @pytest.mark.parametrize("through", ["provider", "callable"])
+    def test_unparseable_term_carries_its_phrase(self, through):
+        local = LocalIndexProvider(build_index([Document(0, ("mason", "of", "stone"))]))
+        provider = local if through == "provider" else (lambda q: local(q))
+        with pytest.raises(ProviderError) as exc:
+            build_vector(provider, WordPair("mason", "stone"), ("of", "ab*", "the"))
+        assert exc.value.query == "mason* ab* stone*"
+
     def test_local_index_provider(self):
         idx = build_index([Document(0, ("traffic", "in", "the", "street"))])
         provider = LocalIndexProvider(idx)
@@ -206,3 +235,53 @@ def test_pair_reversal_swaps_adjacent_elements():
     for j in range(64):
         assert fwd.raw[2 * j] == rev.raw[2 * j + 1]
         assert fwd.raw[2 * j + 1] == rev.raw[2 * j]
+
+
+# Tokens and members for the pair_counts property: stemmed members match
+# several tokens ("mason*"), "x_ray" is two tokens, "up" and "a12" stay
+# literal, and the joining terms' words occur between them.
+PAIR_TOKENS = ["mason", "masons", "masonry", "stone", "stones", "x", "ray", "rays", "up",
+               "a12", "of", "the", "not", "very", "is", "restrain", "restrained"]
+PAIR_MEMBERS = ["mason", "stone", "x_ray", "x-ray", "up", "a12", "restrained", "zebra"]
+TERM_UNITS = ["of", "the", "not", "very", "is", "up", "*", "ston*", "ray*", "mas*ry"]
+
+
+@st.composite
+def pair_corpora(draw):
+    """Short and empty documents under unsorted, non-contiguous doc ids, so
+    that many spans would straddle a document end."""
+    texts = draw(st.lists(st.lists(st.sampled_from(PAIR_TOKENS), max_size=7), max_size=10))
+    ids = draw(st.lists(st.integers(0, 10**6), min_size=len(texts), max_size=len(texts),
+                        unique=True))
+    return texts, ids
+
+
+term_tables = st.lists(st.lists(st.sampled_from(TERM_UNITS), max_size=3).map(" ".join),
+                       min_size=1, max_size=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair_corpora(), st.lists(st.tuples(st.sampled_from(PAIR_MEMBERS),
+                                          st.sampled_from(PAIR_MEMBERS)), min_size=1,
+                                max_size=3), term_tables)
+def test_pair_counts_equal_phrase_counts(corpus, pairs, terms):
+    texts, ids = corpus
+    idx = build_index([Document(i, tuple(t)) for i, t in zip(ids, texts)])
+    for mode in CountMode:
+        provider = LocalIndexProvider(idx, mode)
+        for x, y in pairs:
+            pair = WordPair(x, y)
+            expected = [count_hits(idx, parse_phrase(q), mode).count
+                        for q in generate_queries(pair, terms)]
+            assert provider.pair_counts(pair, terms) == expected, (pair, terms, mode)
+
+
+def test_provider_and_callable_give_equal_vectors_on_planted_corpus():
+    docs = [Document(i, tuple(t.split()))
+            for i, t in enumerate(planted_corpus(random.Random(6)))]
+    provider = LocalIndexProvider(build_index(docs))
+    for x, y in PLANT_PAIRS:
+        pair = WordPair(x, y)
+        by_pair = build_vector(provider, pair, TERMS).raw
+        assert by_pair == build_vector(lambda q: provider(q), pair, TERMS).raw
+        assert any(by_pair)
