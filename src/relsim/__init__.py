@@ -14,9 +14,9 @@ from .vectors import (LocalIndexProvider, RelationVector, WordPair,
                       build_vector, cosine, generate_queries, stem)
 from .analogy import (AnalogyQuestion, EvalReport, GuessOutcome,
                       cumulative_top_k, decide, evaluate, load_questions,
-                      rank_pool, raw_sat_score, score_choices)
-from .nounmod import (LabeledNounModifier, classify_1nn, classify_margin,
-                      group_of, load_labeled_pairs, loocv, macroaverage)
+                      rank_pool, raw_sat_score)
+from .nounmod import (LabeledNounModifier, group_of, load_labeled_pairs, loocv,
+                      macroaverage)
 from .cache import VectorCache, load_cache
 
 __version__ = "0.1.0"

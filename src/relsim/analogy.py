@@ -11,8 +11,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DataFormatError
-from .fileio import read_utf8
-from .similarity import question_rng  # noqa: F401  (part of this module's API)
+from .fileio import read_rows
 from .similarity import TopTwo, cosines_to, margin_rule, nearest_two, top_two
 from .vectors import RelationVector, WordPair
 
@@ -40,12 +39,6 @@ class GuessOutcome:
     guesses: tuple[int, ...]  # ordered by descending cosine; size 0, 1, or 2
     margin: float
     skipped_zero_stem: bool = False
-
-
-def score_choices(stem_vec: RelationVector,
-                  choice_vecs: Sequence[RelationVector]) -> list[float]:
-    """One cosine per choice, order preserved."""
-    return cosines_to(stem_vec, choice_vecs).tolist()
 
 
 def decide(cosines: Sequence[float], threshold: float,
@@ -189,32 +182,26 @@ def cumulative_top_k(ranks: Sequence[int], k_max: int = 10) -> list[TopKRow]:
 # Question file parsing
 
 def parse_pair(text: str) -> WordPair:
-    parts = text.strip().split(":")
-    if len(parts) != 2 or not parts[0] or not parts[1]:
-        raise DataFormatError(f"bad word pair {text!r}, expected 'x:y'")
-    return WordPair(parts[0].lower(), parts[1].lower())
+    """The pair of an "x:y" field, stripped and lowercased."""
+    return WordPair.from_key(text.strip().lower())
+
+
+def _question_row(fields: list[str]) -> AnalogyQuestion:
+    if len(fields) < 4:
+        raise DataFormatError("expected stem, choices, answer")
+    *pairs, letter = fields
+    letter = letter.strip().lower()
+    if len(letter) != 1 or letter not in CHOICE_LETTERS:
+        raise DataFormatError(f"bad answer letter {fields[-1]!r}")
+    stem, *choices = map(parse_pair, pairs)
+    return AnalogyQuestion(stem, tuple(choices), CHOICE_LETTERS.index(letter))
 
 
 def load_questions(path: str | Path) -> list[AnalogyQuestion]:
     """TSV: stem pair, five (or more) choice pairs, answer letter.
 
-    Pairs are "x:y" with underscores for multiword members; lines starting
-    with '#' are comments.
+    Pairs are "x:y" with underscores for multiword members; the answer is
+    one letter naming one of the choices; lines starting with '#' are
+    comments.
     """
-    questions = []
-    for lineno, line in enumerate(read_utf8(path).splitlines(), 1):
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        fields = line.rstrip("\n").split("\t")
-        if len(fields) < 4:
-            raise DataFormatError(f"{path}:{lineno}: expected stem, choices, answer")
-        letter = fields[-1].strip().lower()
-        if letter not in CHOICE_LETTERS:
-            raise DataFormatError(f"{path}:{lineno}: bad answer letter {fields[-1]!r}")
-        try:
-            stem_pair = parse_pair(fields[0])
-            choices = tuple(parse_pair(f) for f in fields[1:-1])
-            questions.append(AnalogyQuestion(stem_pair, choices, CHOICE_LETTERS.index(letter)))
-        except (DataFormatError, ValueError) as e:
-            raise DataFormatError(f"{path}:{lineno}: {e}") from e
-    return questions
+    return read_rows(path, _question_row)

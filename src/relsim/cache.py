@@ -61,7 +61,7 @@ def load_cache(path: str | Path, corpus_digest: str | None = None,
     header = {}
     body_start = 1
     for line in lines[1:]:
-        if not line.startswith("# "):
+        if not line.startswith("# ") or "\t" in line:  # a pair key may start with "# "
             break
         body_start += 1
         k, _, v = line[2:].partition(": ")
@@ -83,7 +83,7 @@ def load_cache(path: str | Path, corpus_digest: str | None = None,
             raise DataFormatError(f"{path}:{lineno}: expected pair key and "
                                   f"{VECTOR_LEN} counts")
         try:
-            cache.put(WordPair.from_key(fields[0]), [int(c) for c in fields[1:]])
+            cache.put(WordPair.from_key(fields[0]), fields[1:])
         except ValueError as e:
             raise DataFormatError(f"{path}:{lineno}: {e}") from e
     return cache

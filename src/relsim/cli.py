@@ -14,7 +14,7 @@ import click
 from . import analogy, sweep
 from .cache import VectorCache, load_cache
 from .errors import DataFormatError, InputError
-from .fileio import atomic_write, read_utf8
+from .fileio import atomic_write, read_rows
 from .index import (CountMode, build_index, load_corpus, load_index,
                     save_index)
 from .nounmod import GROUPS, load_labeled_pairs, loocv, macroaverage
@@ -69,31 +69,19 @@ def _load_terms(terms_path):
     return load_joining_terms(terms_path) if terms_path else default_joining_terms()
 
 
+def _plain_pair(fields: list[str]) -> WordPair:
+    """One line of a plain pairs file: "x<TAB>y" or "x:y"."""
+    if len(fields) > 1:
+        return WordPair(*(m.strip().lower() for m in fields[:2]))
+    return analogy.parse_pair(fields[0])
+
+
 def _extract_pairs(path: str, fmt: str) -> list[WordPair]:
     if fmt == "sat":
-        pairs = []
-        for q in analogy.load_questions(path):
-            pairs.extend(q.pairs())
-        return pairs
+        return [p for q in analogy.load_questions(path) for p in q.pairs()]
     if fmt == "nounmod":
         return [item.pair() for item in load_labeled_pairs(path)]
-    # plain pairs: one per line, "x<TAB>y" or "x:y"
-    pairs = []
-    for lineno, line in enumerate(read_utf8(path).splitlines(), 1):
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        if "\t" in line:
-            members = [m.strip().lower() for m in line.split("\t")[:2]]
-            if not all(members) or any(":" in m for m in members):
-                raise DataFormatError(f"{path}:{lineno}: bad pair {line!r}, expected "
-                                      "two non-empty members without ':'")
-            pairs.append(WordPair(*members))
-        else:
-            try:
-                pairs.append(analogy.parse_pair(line))
-            except DataFormatError as e:
-                raise DataFormatError(f"{path}:{lineno}: {e}") from None
-    return pairs
+    return read_rows(path, _plain_pair)
 
 
 @cli.command("vectors")

@@ -1,5 +1,6 @@
-"""File helpers: UTF-8 reading of input files, and atomic replacement of the
-files relsim writes (index, vector cache, sweep CSV)."""
+"""File helpers: UTF-8 reading of input files, the row loop of the TSV
+input files, and atomic replacement of the files relsim writes (index,
+vector cache, sweep CSV)."""
 
 from __future__ import annotations
 
@@ -7,9 +8,11 @@ import os
 import uuid
 from contextlib import contextmanager
 from pathlib import Path
-from typing import BinaryIO, Iterator
+from typing import BinaryIO, Callable, Iterator, TypeVar
 
 from .errors import DataFormatError
+
+Row = TypeVar("Row")
 
 
 def read_utf8(path: str | Path) -> str:
@@ -20,6 +23,24 @@ def read_utf8(path: str | Path) -> str:
     except UnicodeDecodeError as e:
         raise DataFormatError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") \
             from None
+
+
+def read_rows(path: str | Path, parse_row: Callable[[list[str]], Row]) -> list[Row]:
+    """parse_row of each line's tab-separated fields, in file order.
+
+    Blank lines and lines whose first non-blank character is '#' are
+    skipped. A DataFormatError or ValueError from parse_row is raised as a
+    DataFormatError that names the file and line ("path:line: ...").
+    """
+    rows = []
+    for lineno, line in enumerate(read_utf8(path).splitlines(), 1):
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        try:
+            rows.append(parse_row(line.split("\t")))
+        except (DataFormatError, ValueError) as e:
+            raise DataFormatError(f"{path}:{lineno}: {e}") from e
+    return rows
 
 
 @contextmanager

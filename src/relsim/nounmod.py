@@ -8,15 +8,14 @@ per-class metrics.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 from .analogy import f_measure
 from .errors import DataFormatError
-from .fileio import read_utf8
-from .similarity import cosines_to, leave_one_out, margin_rule, nearest_two, top_two
+from .fileio import read_rows
+from .similarity import leave_one_out, margin_rule, nearest_two
 from .vectors import RelationVector, WordPair
 
 # (class name, abbreviation, example phrase, group)
@@ -73,60 +72,37 @@ class LabeledNounModifier:
     head: str
     label: str
 
+    def __post_init__(self):
+        self.pair()  # WordPair rejects a bad member
+
     def pair(self) -> WordPair:
         """Modifier first, head second, by fixed convention."""
         return WordPair(self.modifier, self.head)
 
 
+def _labelled_row(fields: list[str]) -> LabeledNounModifier:
+    if len(fields) < 3:
+        raise DataFormatError("expected modifier, head, class")
+    item = LabeledNounModifier(*(f.strip().lower() for f in fields[:3]))
+    if item.label not in _GROUP_OF:
+        raise DataFormatError(f"unknown relation class {item.label!r}")
+    return item
+
+
 def load_labeled_pairs(path: str | Path) -> list[LabeledNounModifier]:
     """TSV: modifier, head, class abbreviation; extra columns ignored,
     '#' lines are comments."""
-    items = []
-    for lineno, line in enumerate(read_utf8(path).splitlines(), 1):
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        fields = line.rstrip("\n").split("\t")
-        if len(fields) < 3:
-            raise DataFormatError(f"{path}:{lineno}: expected modifier, head, class")
-        modifier, head, label = (f.strip().lower() for f in fields[:3])
-        if not modifier or not head or ":" in modifier + head:
-            raise DataFormatError(f"{path}:{lineno}: bad pair {modifier!r}, {head!r}, "
-                                  "expected two non-empty members without ':'")
-        if label not in _GROUP_OF:
-            raise DataFormatError(f"{path}:{lineno}: unknown relation class {label!r}")
-        items.append(LabeledNounModifier(modifier, head, label))
-    return items
+    return read_rows(path, _labelled_row)
 
 
 # ---------------------------------------------------------------------------
 # Classification
 
-def classify_1nn(train: Sequence[RelationVector], labels: Sequence[str],
-                 probe: RelationVector,
-                 rng: random.Random | None = None) -> str:
-    """Label of the training vector with the largest cosine to the probe."""
-    if not train:
-        raise ValueError("training set is empty")
-    return labels[top_two(cosines_to(probe, train), rng).best]
-
-
-def classify_margin(train: Sequence[RelationVector], labels: Sequence[str],
-                    probe: RelationVector, threshold: float,
-                    rng: random.Random | None = None) -> tuple[str, ...]:
-    """Two-nearest-neighbour guess set: 0 (abstain), 1, or 2 labels.
-
-    If both nearest neighbours share a class, that class is output
-    regardless of the threshold. Otherwise the margin rule from the
-    analogy solver applies to the two neighbour cosines.
-    """
-    if len(train) < 2:
-        raise ValueError("need at least two training items")
-    top = top_two(cosines_to(probe, train), rng)
-    return _margin_labels(labels[top.best], labels[top.second], top.margin, threshold)
-
-
 def _margin_labels(first: str, second: str, margin: float,
                    threshold: float) -> tuple[str, ...]:
+    """The two-neighbour guess set: a class shared by both nearest
+    neighbours is guessed whatever the threshold; otherwise the margin
+    rule applies to their cosines."""
     if first == second:
         return (first,)
     return margin_rule(first, second, margin, threshold)
@@ -157,8 +133,7 @@ class LoocvResult:
 
 def loocv_thresholds(vectors: Sequence[RelationVector], labels: Sequence[str],
                      thresholds: Sequence[float], granularity: int = 30,
-                     seed: int = 0, classes: Sequence[str] | None = None,
-                     tie_break: str = "random") -> list[LoocvResult]:
+                     seed: int = 0, tie_break: str = "random") -> list[LoocvResult]:
     """loocv at each threshold in turn; every item is scored once."""
     if len(vectors) != len(labels):
         raise ValueError("one label per vector required")
@@ -166,14 +141,12 @@ def loocv_thresholds(vectors: Sequence[RelationVector], labels: Sequence[str],
         raise ValueError("need at least two items")
     if granularity == 5:
         labels = [group_of(lab) for lab in labels]
-        default_classes = GROUPS
+        classes = GROUPS
     elif granularity == 30:
-        default_classes = ALL_ABBREVIATIONS if set(labels) <= set(ALL_ABBREVIATIONS) \
+        classes = ALL_ABBREVIATIONS if set(labels) <= set(ALL_ABBREVIATIONS) \
             else tuple(sorted(set(labels)))
     else:
         raise ValueError("granularity must be 30 or 5")
-    if classes is None:
-        classes = default_classes
 
     # Leave-one-out positions skip the probe itself. With two items the
     # single neighbour is its own runner-up, which makes the guess plain 1-NN.
@@ -189,7 +162,6 @@ def loocv_thresholds(vectors: Sequence[RelationVector], labels: Sequence[str],
 
 def loocv(vectors: Sequence[RelationVector], labels: Sequence[str],
           threshold: float = 0.0, granularity: int = 30, seed: int = 0,
-          classes: Sequence[str] | None = None,
           tie_break: str = "random") -> LoocvResult:
     """Leave-one-out cross-validation with the two-neighbour margin rule.
 
@@ -200,7 +172,7 @@ def loocv(vectors: Sequence[RelationVector], labels: Sequence[str],
     guessed class; abstention adds an FN to the true class.
     """
     return loocv_thresholds(vectors, labels, [threshold], granularity, seed,
-                            classes, tie_break)[0]
+                            tie_break)[0]
 
 
 def _tally(labels: Sequence[str], guess_sets: Sequence[tuple[str, ...]],

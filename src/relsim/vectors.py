@@ -29,19 +29,27 @@ from .index import (CountMode, PatternKind, PositionalIndex, TokenPattern, count
 
 HitCountProvider = Callable[[str], int]
 
-VECTOR_LENGTH_PER_TERM = 2
-
 
 @dataclass(frozen=True)
 class WordPair:
-    """A word pair; multiword members use underscores ("shoot_down")."""
+    """A word pair; multiword members use underscores ("shoot_down").
+
+    Each member is non-empty and holds no ':', tab or line break, so the
+    key "x:y" splits back into the same pair and fits in one field of a
+    TSV line. Every loader builds its pairs here, so this is the one
+    check of the member rule.
+    """
 
     x: str
     y: str
 
     def __post_init__(self):
-        if not self.x or not self.y:
-            raise ValueError("word pair members must be non-empty")
+        for member in (self.x, self.y):
+            # A line break is any character that str.splitlines splits at.
+            if not member or ":" in member or "\t" in member \
+                    or member.splitlines() != [member]:
+                raise ValueError(f"bad word pair {self.x!r}, {self.y!r}: members must be "
+                                 "non-empty, without ':', tabs or line breaks")
 
     def key(self) -> str:
         return f"{self.x}:{self.y}"
@@ -51,10 +59,9 @@ class WordPair:
 
     @staticmethod
     def from_key(key: str) -> "WordPair":
-        parts = key.split(":")
-        if len(parts) != 2:
-            raise ValueError(f"bad pair key {key!r}")
-        return WordPair(parts[0], parts[1])
+        """The pair whose key() is `key`."""
+        x, _, y = key.partition(":")
+        return WordPair(x, y)
 
 
 def stem(word: str) -> str:
@@ -162,18 +169,17 @@ class LocalIndexProvider:
     """Hit-count provider backed by a local positional index.
 
     Safe for concurrent queries. Called with a phrase, it counts that
-    phrase, and memoizes the count per phrase string. pair_counts, which
-    build_vector uses, counts all the phrases of a pair with one member
-    join per word order and term length, not one scan per phrase. Each
-    unit's positions are memoized per unit, so a pair member's wildcard is
-    expanded once, not in each of its 128 phrases.
+    phrase. pair_counts, which build_vector uses, counts all the phrases
+    of a pair with one member join per word order and term length, not
+    one scan per phrase. Each unit's positions are memoized per unit, so a
+    pair member's wildcard is expanded once, not in each of its 128
+    phrases.
     """
 
     def __init__(self, index: PositionalIndex,
                  mode: CountMode = CountMode.DOCUMENT_HITS):
         self.index = index
         self.mode = mode
-        self._memo: dict[str, int] = {}
         self._units: dict[TokenPattern, np.ndarray] = {}
         self._table: tuple[tuple[str, ...], dict] | None = None
 
@@ -186,11 +192,8 @@ class LocalIndexProvider:
         return found
 
     def __call__(self, phrase: str) -> int:
-        cached = self._memo.get(phrase)
-        if cached is None:
-            units = [self._positions(p) for p in parse_phrase(phrase).patterns]
-            cached = self._memo[phrase] = count_matches(self.index, units, self.mode)
-        return cached
+        units = [self._positions(p) for p in parse_phrase(phrase).patterns]
+        return count_matches(self.index, units, self.mode)
 
     def _term_table(self, terms: Sequence[str], px: str, py: str):
         """Term length -> [(term number, [(offset, positions) of each unit

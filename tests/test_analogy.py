@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -5,11 +6,13 @@ import pytest
 
 from relsim.analogy import (AnalogyQuestion, GuessOutcome, cumulative_top_k,
                             decide, evaluate, f_measure, load_questions,
-                            question_rng, rank_of, rank_pool, raw_sat_score,
-                            score_choices, solve_all)
+                            rank_pool, raw_sat_score, solve_all)
 from relsim.errors import DataFormatError
+from relsim.similarity import question_rng, top_two
 from relsim.sweep import NOUNMOD_GRID, SAT_GRID, grid_thresholds, sat_sweep
 from relsim.vectors import RelationVector, WordPair
+
+from oracles import oracle_cosine
 
 # Cosines from the worked traffic:street example; the answer is choice (e).
 EXAMPLE_COSINES = [0.31874, 0.57234, 0.68757, 0.49725, 0.69265]
@@ -19,21 +22,41 @@ def vec(raw):
     return RelationVector.from_raw(WordPair("a", "b"), raw)
 
 
+def solve_one(stem_raw, choice_raws, threshold=0.0, seed=0, tie_break="first"):
+    """solve_all's outcome for one question with these raw vectors."""
+    stem = WordPair("s", "t")
+    choices = tuple(WordPair(f"c{j}", f"d{j}") for j in range(len(choice_raws)))
+    vectors = {p.key(): vec(raw) for p, raw in zip((stem, *choices), (stem_raw, *choice_raws))}
+    question = AnalogyQuestion(stem, choices, 0)
+    return solve_all([question], vectors, threshold, seed, tie_break)[0]
+
+
 class TestScoreChoices:
+    """How solve_all scores a question's choices against its stem."""
+
     def test_zero_stem_gives_zero_cosines(self):
-        stem_v = vec([0, 0, 0])
-        choices = [vec([1, 2, 3]), vec([4, 5, 6])]
-        assert score_choices(stem_v, choices) == [0.0, 0.0]
+        out = solve_one([0, 0, 0], [[1, 2, 3], [4, 5, 6]], threshold=-1.0)
+        assert out.guesses == () and out.skipped_zero_stem and out.margin == 0.0
+        # a zero choice scores 0, as does one orthogonal to the stem: an exact tie
+        out = solve_one([1, 0, 0], [[0, 0, 0], [0, 3, 4]])
+        assert out.guesses == (0,) and out.margin == 0.0
+        picks = set()
+        for s in range(20):
+            out = solve_one([1, 0, 0], [[0, 0, 0], [0, 3, 4]], seed=s, tie_break="random")
+            assert out.guesses == (top_two([0.0, 0.0], question_rng(s, 0)).best,)
+            picks.add(out.guesses)
+        assert picks == {(0,), (1,)}
 
     def test_identical_choice_scores_one(self):
-        stem_v = vec([1, 2, 3])
-        scores = score_choices(stem_v, [vec([9, 9, 9]), vec([1, 2, 3])])
-        assert scores[1] == pytest.approx(1.0)
+        out = solve_one([1, 2, 3], [[9, 9, 9], [1, 2, 3]])
+        assert out.guesses == (1,)
+        other = oracle_cosine(list(vec([1, 2, 3]).r), list(vec([9, 9, 9]).r))
+        assert out.margin == pytest.approx(1.0 - other)
 
     def test_order_preserved(self):
-        stem_v = vec([1, 0])
-        scores = score_choices(stem_v, [vec([1, 0]), vec([0, 1]), vec([1, 1])])
-        assert scores[0] > scores[2] > scores[1]
+        out = solve_one([1, 0], [[1, 0], [0, 1], [1, 1]], threshold=-1.0)
+        assert out.guesses == (0, 2)  # best, then the runner-up
+        assert out.margin == pytest.approx(1.0 - 1 / math.sqrt(2))
 
 
 class TestDecide:
@@ -208,6 +231,14 @@ class TestQuestionFile:
         p.write_text("a:b\tc:d\te:f\t9\n")
         with pytest.raises(DataFormatError):
             load_questions(p)
+
+    @pytest.mark.parametrize("answer", ["", " ", "bc", "ab", "c", "9"])
+    def test_answer_must_be_one_choice_letter(self, tmp_path, answer):
+        p = tmp_path / "q.tsv"
+        p.write_text(f"a:b\tc:d\te:f\ta\na:b\tc:d\te:f\t{answer}\n")
+        with pytest.raises(DataFormatError) as exc:
+            load_questions(p)
+        assert f"{p}:2" in str(exc.value)
 
     def test_bad_pair(self, tmp_path):
         p = tmp_path / "q.tsv"

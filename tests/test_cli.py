@@ -112,6 +112,18 @@ class TestVectors:
         assert r.exit_code == 0, r.output
         assert "3 distinct" in r.output
 
+    def test_member_starting_with_hash_survives_the_cache(self, runner, built_index, tmp_path):
+        # the sorted cache's first row "# water:riverbed\t..." is a pair, not a header line
+        q = tmp_path / "q.tsv"
+        q.write_text("traffic:street\t# water:riverbed\tmason:stone\ta\n")
+        cache = tmp_path / "cache.tsv"
+        r = runner.invoke(cli, ["vectors", str(q), "--index", str(built_index),
+                                "--cache", str(cache), "--format", "sat"])
+        assert r.exit_code == 0, r.output
+        assert "# water:riverbed" in load_cache(cache).entries
+        r = runner.invoke(cli, ["sat", "solve", str(q), "--cache", str(cache)])
+        assert r.exit_code == 0, r.output
+
 
 @pytest.fixture
 def sat_setup(runner, built_index, tmp_path):
@@ -274,6 +286,39 @@ class TestInputErrors:
         code, out, err = run_main(capsys, "sat", "solve", str(q), "--cache", str(cache))
         assert code == 0, err
         assert "precision:" in out
+
+    @pytest.mark.parametrize("answer", ["", "bc"])
+    def test_bad_answer_letter_exits_one(self, capsys, sat_setup, tmp_path, answer):
+        good, cache = sat_setup
+        q = tmp_path / "bad.tsv"
+        q.write_text(good.read_text() + f"traffic:street\twater:riverbed\tmason:stone\t{answer}\n")
+        code, _, err = run_main(capsys, "sat", "solve", str(q), "--cache", str(cache))
+        assert code == 1, err
+        assert f"{q}:2" in err and "internal error" not in err
+
+    @pytest.mark.parametrize("fmt, line", [
+        ("sat", "traffic:\twater:riverbed\tmason:stone\ta"),
+        ("sat", "traffic:street\twater:river:bed\tmason:stone\ta"),
+        ("pairs", "\tstreet"),
+        ("pairs", "traffic:jam\tstreet"),
+        ("pairs", ":street"),
+        ("pairs", "traffic:jam:street"),
+        ("nounmod", " \tstreet\tloc"),
+        ("nounmod", "traffic\tjam:street\tloc"),
+    ], ids=["sat-empty", "sat-colon", "tab-empty", "tab-colon", "colon-empty",
+            "colon-colon", "labelled-empty", "labelled-colon"])
+    def test_bad_member_exits_one_naming_line(self, capsys, built_index, tmp_path, fmt,
+                                              line):
+        good = {"sat": "traffic:street\twater:riverbed\tmason:stone\ta",
+                "pairs": "water\triverbed", "nounmod": "water\triverbed\tloc"}[fmt]
+        data = tmp_path / "in.tsv"
+        data.write_text(f"{good}\n{line}\n")
+        cache = tmp_path / "cache.tsv"
+        code, _, err = run_main(capsys, "vectors", str(data), "--index", str(built_index),
+                                "--cache", str(cache), "--format", fmt)
+        assert code == 1, err
+        assert f"{data}:2" in err and "internal error" not in err
+        assert not cache.exists()
 
     def test_non_utf8_corpus_is_input_error(self, capsys, tmp_path):
         corpus = tmp_path / "latin1.txt"

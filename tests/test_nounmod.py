@@ -5,8 +5,8 @@ import pytest
 
 from relsim.errors import DataFormatError
 from relsim.nounmod import (ALL_ABBREVIATIONS, GROUPS, RELATION_CLASSES,
-                            ClassMetrics, classify_1nn, classify_margin,
-                            group_of, load_labeled_pairs, loocv, macroaverage)
+                            ClassMetrics, group_of, load_labeled_pairs, loocv,
+                            macroaverage)
 from relsim.vectors import RelationVector, WordPair
 
 from oracles import oracle_cosine, oracle_loocv_confusion
@@ -54,18 +54,27 @@ class TestTaxonomy:
             group_of("bogus")
 
 
+def probe_guesses(train, labels, probe, threshold=0.0, seed=0, tie_break="first"):
+    """The guess set loocv gives a probe, labelled "probe", that is left
+    out of train + [probe]; None stands for abstention."""
+    result = loocv([*train, probe], [*labels, "probe"], threshold, 30, seed, tie_break)
+    return {guess for (true, guess) in result.confusion if true == "probe"}
+
+
 class TestClassify1nn:
+    """The nearest neighbour loocv guesses for a left-out item."""
+
     def test_identical_vector_wins(self):
         train = [vec([1, 0, 0]), vec([3, 4, 5]), vec([0, 1, 0])]
-        labels = ["a", "b", "c"]
-        assert classify_1nn(train, labels, vec([3, 4, 5])) == "b"
+        assert probe_guesses(train, ["a", "b", "c"], vec([3, 4, 5])) == {"b"}
 
     def test_orthogonal_probe_seeded_tie(self):
         train = [vec([1, 0, 0]), vec([0, 1, 0])]
-        labels = ["a", "b"]
         probe = vec([0, 0, 1])
-        picks = {classify_1nn(train, labels, probe, random.Random(s)) for s in range(20)}
-        assert picks == {"a", "b"}
+        picks = [probe_guesses(train, ["a", "b"], probe, seed=s, tie_break="random")
+                 for s in range(20)]
+        assert all(len(p) == 1 for p in picks)
+        assert set().union(*picks) == {"a", "b"}
 
     def test_matches_argmax_oracle(self):
         rng = np.random.default_rng(6)
@@ -74,34 +83,37 @@ class TestClassify1nn:
             labels = [f"l{j}" for j in range(10)]
             probe = vec(list(rng.integers(1, 50, 6)))
             scores = [oracle_cosine(list(probe.r), list(t.r)) for t in train]
-            assert classify_1nn(train, labels, probe) == labels[int(np.argmax(scores))]
+            assert probe_guesses(train, labels, probe) == {labels[int(np.argmax(scores))]}
 
 
 class TestClassifyMargin:
-    def make(self, c1, c2, l1, l2):
+    """loocv's two-neighbour margin rule for a left-out item."""
+
+    def make(self, c1, c2):
         # two training vectors whose cosines to probe [1, 0] are c1 and c2
         def from_cos(c):
             return fvec([c, np.sqrt(1 - c * c)])
-        return [from_cos(c1), from_cos(c2)], [l1, l2]
+        return [from_cos(c1), from_cos(c2)]
 
     def test_same_class_ignores_threshold(self):
-        train, labels = self.make(0.9, 0.2, "A", "A")
-        assert classify_margin(train, labels, fvec([1, 0]), 0.5) == ("A",)
+        train = self.make(0.9, 0.2)  # margin 0.7
+        for t in (0.9, 0.5, -0.9):
+            assert probe_guesses(train, ["A", "A"], fvec([1, 0]), t) == {"A"}
 
     def test_three_branches(self):
-        train, labels = self.make(0.9, 0.85, "A", "B")
+        train = self.make(0.9, 0.85)
         probe = fvec([1, 0])
-        assert classify_margin(train, labels, probe, 0.02) == ("A",)
-        assert classify_margin(train, labels, probe, 0.1) == ()
-        assert classify_margin(train, labels, probe, -0.1) == ("A", "B")
+        assert probe_guesses(train, ["A", "B"], probe, 0.02) == {"A"}
+        assert probe_guesses(train, ["A", "B"], probe, 0.1) == {None}
+        assert probe_guesses(train, ["A", "B"], probe, -0.1) == {"A", "B"}
 
     def test_zero_threshold_single_label(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
             train = [vec(list(rng.integers(0, 9, 4))) for _ in range(6)]
-            labels = [rng.choice(["x", "y", "z"]) for _ in range(6)]
-            out = classify_margin(train, labels, vec(list(rng.integers(1, 9, 4))), 0.0)
-            assert len(out) == 1
+            labels = [str(rng.choice(["x", "y", "z"])) for _ in range(6)]
+            out = probe_guesses(train, labels, vec(list(rng.integers(1, 9, 4))))
+            assert len(out) == 1 and None not in out
 
 
 class TestLoocv:

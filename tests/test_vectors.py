@@ -1,11 +1,14 @@
 import math
 import random
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from relsim.cache import VectorCache, load_cache
 from relsim.errors import DataFormatError, ProviderError
 from relsim.index import CountMode, Document, build_index, count_hits, parse_phrase
 from relsim.terms import (default_joining_terms, load_joining_terms,
@@ -90,6 +93,41 @@ class TestJoiningTerms:
         p.write_bytes(("\n".join(["", "caf\u00e9"] + ["of"] * 62) + "\n").encode("latin-1"))
         with pytest.raises(DataFormatError, match="not UTF-8"):
             load_joining_terms(p)
+
+
+class TestWordPair:
+    @pytest.mark.parametrize("x, y", [("a:b", "c"), ("a", "b:c"), (":", "b"), ("", "b"),
+                                      ("a", ""), ("a\tb", "c"), ("a", "b\n"),
+                                      ("a\u2028b", "c")])
+    def test_bad_member_rejected(self, x, y):
+        with pytest.raises(ValueError):
+            WordPair(x, y)
+
+    def test_from_key_splits_at_the_colon(self):
+        assert WordPair.from_key("shoot_down:aircraft") == WordPair("shoot_down", "aircraft")
+        for key in ("ab", "a:b:c", ":b", "a:", ""):
+            with pytest.raises(ValueError):
+                WordPair.from_key(key)
+
+    @given(st.text(), st.text(),
+           st.lists(st.integers(0, 10 ** 12), min_size=128, max_size=128))
+    @example("# x", "y", [0] * 128)
+    @example("a:b", "c", [1] * 128)
+    @settings(deadline=None)
+    def test_accepted_pair_survives_cache_round_trip(self, x, y, counts):
+        try:
+            pair = WordPair(x, y)
+        except ValueError:
+            return
+        cache = VectorCache("digest", "checksum")
+        cache.put(WordPair("a", "b"), [2] * 128)
+        cache.put(pair, counts)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "cache.tsv"
+            cache.save(path)
+            loaded = load_cache(path, "digest", "checksum")
+        assert loaded.entries == cache.entries
+        assert loaded.entries[pair.key()] == tuple(counts)
 
 
 class TestGenerateQueries:
