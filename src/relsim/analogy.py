@@ -53,14 +53,7 @@ def decide(cosines: Sequence[float], threshold: float,
     """
     if len(cosines) < 2:
         raise ValueError("need at least two cosines")
-    if stem_is_zero:
-        return GuessOutcome((), 0.0, skipped_zero_stem=True)
-    return _outcome(top_two(cosines, rng), threshold)
-
-
-def _outcome(top: TopTwo, threshold: float) -> GuessOutcome:
-    return GuessOutcome(margin_rule(top.best, top.second, top.margin, threshold),
-                        top.margin)
+    return outcomes_at([None if stem_is_zero else top_two(cosines, rng)], threshold)[0]
 
 
 def score_questions(questions: Sequence[AnalogyQuestion],
@@ -79,7 +72,9 @@ def score_questions(questions: Sequence[AnalogyQuestion],
 def outcomes_at(tops: Sequence[TopTwo | None], threshold: float) -> list[GuessOutcome]:
     """The margin policy at one threshold over score_questions' result."""
     return [GuessOutcome((), 0.0, skipped_zero_stem=True) if top is None
-            else _outcome(top, threshold) for top in tops]
+            else GuessOutcome(margin_rule(top.best, top.second, top.margin, threshold),
+                              top.margin)
+            for top in tops]
 
 
 def solve_all(questions: Sequence[AnalogyQuestion],
@@ -96,6 +91,7 @@ class EvalReport:
     incorrect: int
     skipped: int
     guesses_made: int
+    doubles: int  # questions guessed with both the best and second-best choice
     total: int
     precision: float = field(init=False)
     recall: float = field(init=False)
@@ -124,16 +120,17 @@ def evaluate(questions: Sequence[AnalogyQuestion],
     guessed index counts as one guess."""
     if len(questions) != len(outcomes):
         raise ValueError("one outcome per question required")
-    correct = incorrect = skipped = guesses_made = 0
+    correct = incorrect = skipped = guesses_made = doubles = 0
     for q, out in zip(questions, outcomes):
         guesses_made += len(out.guesses)
+        doubles += len(out.guesses) == 2
         if not out.guesses:
             skipped += 1
         elif q.answer in out.guesses:
             correct += 1
         else:
             incorrect += 1
-    return EvalReport(correct, incorrect, skipped, guesses_made, len(questions))
+    return EvalReport(correct, incorrect, skipped, guesses_made, doubles, len(questions))
 
 
 def raw_sat_score(correct: int, incorrect: int) -> float:

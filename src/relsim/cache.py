@@ -14,10 +14,11 @@ from typing import Sequence
 
 from .errors import CacheProvenanceError, DataFormatError
 from .fileio import atomic_write, read_utf8
-from .vectors import RelationVector, WordPair
+from .terms import TERM_COUNT
+from .vectors import RelationVector, WordPair, hit_counts
 
 _MAGIC = "# relsim-vector-cache v1"
-VECTOR_LEN = 128
+VECTOR_LEN = 2 * TERM_COUNT
 
 
 @dataclass
@@ -30,10 +31,11 @@ class VectorCache:
         return pair.key() in self.entries
 
     def put(self, pair: WordPair, raw: Sequence[int]) -> None:
-        raw = tuple(int(c) for c in raw)
-        if len(raw) != VECTOR_LEN or any(c < 0 for c in raw):
-            raise ValueError(f"cache entries must be {VECTOR_LEN} non-negative integers")
-        self.entries[pair.key()] = raw
+        """Store VECTOR_LEN counts, checked by the count rule. Rows stay
+        tuples: a RelationVector per row would hold its log array too."""
+        if len(raw) != VECTOR_LEN:
+            raise ValueError(f"expected {VECTOR_LEN} counts, got {len(raw)}")
+        self.entries[pair.key()] = hit_counts(raw)
 
     def vector(self, pair: WordPair) -> RelationVector:
         return RelationVector.from_raw(pair, self.entries[pair.key()])
@@ -78,12 +80,9 @@ def load_cache(path: str | Path, corpus_digest: str | None = None,
     for lineno, line in enumerate(lines[body_start:], body_start + 1):
         if not line.strip():
             continue
-        fields = line.split("\t")
-        if len(fields) != VECTOR_LEN + 1:
-            raise DataFormatError(f"{path}:{lineno}: expected pair key and "
-                                  f"{VECTOR_LEN} counts")
+        key, *counts = line.split("\t")
         try:
-            cache.put(WordPair.from_key(fields[0]), fields[1:])
+            cache.put(WordPair.from_key(key), counts)
         except ValueError as e:
             raise DataFormatError(f"{path}:{lineno}: {e}") from e
     return cache

@@ -126,12 +126,11 @@ def vectors_cmd(pairs_file, index_path, cache_path, fmt, mode, terms_path):
 
 
 def _load_cache_for(cache_path, index_path, terms_path):
-    terms = _load_terms(terms_path)
-    checksum = terms_checksum(terms)
-    if index_path:
-        digest = load_index(index_path).corpus_digest
-        return load_cache(cache_path, digest, checksum)
-    return load_cache(cache_path, None, None)
+    """Load a cache, checking its corpus against --index and its term table
+    against --terms (the default table when only --index is given)."""
+    digest = load_index(index_path).corpus_digest if index_path else None
+    checksum = terms_checksum(_load_terms(terms_path)) if index_path or terms_path else None
+    return load_cache(cache_path, digest, checksum)
 
 
 def _require_vectors(cache, pairs):
@@ -196,12 +195,11 @@ def sat_solve(questions_file, cache_path, index_path, terms_path, threshold,
 
     outcomes = analogy.solve_all(questions, vectors, threshold, seed, tie_break)
     report = analogy.evaluate(questions, outcomes)
-    doubles = sum(1 for o in outcomes if len(o.guesses) == 2)
     click.echo(f"total: {report.total}")
     click.echo(f"correct: {report.correct}")
     click.echo(f"incorrect: {report.incorrect}")
     click.echo(f"skipped: {report.skipped}")
-    click.echo(f"double guesses: {doubles}")
+    click.echo(f"double guesses: {report.doubles}")
     click.echo(f"precision: {_pct(report.precision)}")
     click.echo(f"recall: {_pct(report.recall)}")
     click.echo(f"F: {_pct(report.f)}")

@@ -166,10 +166,9 @@ def loocv(vectors: Sequence[RelationVector], labels: Sequence[str],
     """Leave-one-out cross-validation with the two-neighbour margin rule.
 
     granularity 5 collapses labels through group_of before training and
-    scoring; 30 keeps them as-is. Per-class accounting: a guess set
-    containing the true class adds a TP to it and an FP to every other
-    guessed class; a miss adds an FN to the true class and an FP to each
-    guessed class; abstention adds an FN to the true class.
+    scoring; 30 keeps them as-is. Per-class accounting, one rule per
+    guess: a guess of the true class is a TP, any other guess an FP to the
+    guessed class, and a true class left unguessed an FN.
     """
     return loocv_thresholds(vectors, labels, [threshold], granularity, seed,
                             tie_break)[0]
@@ -182,29 +181,12 @@ def _tally(labels: Sequence[str], guess_sets: Sequence[tuple[str, ...]],
     fn = {c: 0 for c in classes}
     size = {c: 0 for c in classes}
     confusion: dict[tuple[str, str | None], int] = {}
-    guesses_made = abstained = doubles = correct = 0
-
     for true, guesses in zip(labels, guess_sets):
         size[true] += 1
-        guesses_made += len(guesses)
-        if not guesses:
-            abstained += 1
-            fn[true] += 1
-            confusion[(true, None)] = confusion.get((true, None), 0) + 1
-            continue
-        if len(guesses) == 2:
-            doubles += 1
-        if true in guesses:
-            correct += 1
-            tp[true] += 1
-            for g in guesses:
-                if g != true:
-                    fp[g] += 1
-        else:
-            fn[true] += 1
-            for g in guesses:
-                fp[g] += 1
+        fn[true] += true not in guesses
         for g in guesses:
+            (tp if g == true else fp)[g] += 1
+        for g in guesses or (None,):  # None: the item abstained
             confusion[(true, g)] = confusion.get((true, g), 0) + 1
 
     per_class = []
@@ -213,8 +195,11 @@ def _tally(labels: Sequence[str], guess_sets: Sequence[tuple[str, ...]],
         r = tp[c] / (tp[c] + fn[c]) if tp[c] + fn[c] else 0.0
         per_class.append(ClassMetrics(c, size[c], tp[c], fp[c], fn[c],
                                       p, r, f_measure(p, r)))
-    return LoocvResult(per_class, confusion, guesses_made, abstained, doubles,
-                       correct, len(labels))
+    return LoocvResult(per_class, confusion,
+                       guesses_made=sum(map(len, guess_sets)),
+                       abstained=sum(not g for g in guess_sets),
+                       doubles=sum(len(g) == 2 for g in guess_sets),
+                       correct=sum(tp.values()), total=len(labels))
 
 
 def macroaverage(per_class: Sequence[ClassMetrics]) -> tuple[float, float, float]:

@@ -47,11 +47,9 @@ def sat_sweep(questions: Sequence[AnalogyQuestion],
     rows = []
     tops = score_questions(questions, vectors, seed, tie_break)
     for t in thresholds:
-        outcomes = outcomes_at(tops, t)
-        report = evaluate(questions, outcomes)
-        doubles = sum(1 for o in outcomes if len(o.guesses) == 2)
+        report = evaluate(questions, outcomes_at(tops, t))
         rows.append(SweepRow(t, report.precision, report.recall, report.f,
-                             report.guesses_made, report.skipped, doubles))
+                             report.guesses_made, report.skipped, report.doubles))
     return rows
 
 

@@ -23,9 +23,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import PhraseSyntaxError, ProviderError
-from .index import (CountMode, PatternKind, PositionalIndex, TokenPattern, count_matches,
-                    in_sorted, match_starts, parse_phrase, parse_units, tally, tokenize,
-                    whole_matches)
+from .index import (MIN_WILDCARD_PREFIX, CountMode, PatternKind, PositionalIndex,
+                    TokenPattern, count_matches, in_sorted, match_starts, parse_phrase,
+                    parse_units, tally, tokenize, whole_matches)
 
 HitCountProvider = Callable[[str], int]
 
@@ -54,9 +54,6 @@ class WordPair:
     def key(self) -> str:
         return f"{self.x}:{self.y}"
 
-    def reversed(self) -> "WordPair":
-        return WordPair(self.y, self.x)
-
     @staticmethod
     def from_key(key: str) -> "WordPair":
         """The pair whose key() is `key`."""
@@ -69,8 +66,8 @@ def stem(word: str) -> str:
 
     length > 10: last 4 characters become "*"; 8 < length <= 10: last 3
     become "*"; 2 < length <= 8: "*" appended; length <= 2: unchanged.
-    Words whose stemmed prefix would carry fewer than three alphabetic
-    characters are left unchanged so the result always parses as a query.
+    Words whose stemmed prefix would carry fewer than MIN_WILDCARD_PREFIX
+    alphabetic characters are left unchanged so the result always parses.
     """
     n = len(word)
     if n > 10:
@@ -81,7 +78,7 @@ def stem(word: str) -> str:
         out = word + "*"
     else:
         return word
-    if sum(c.isalpha() for c in out[:-1]) < 3:
+    if sum(c.isalpha() for c in out[:-1]) < MIN_WILDCARD_PREFIX:
         return word
     return out
 
@@ -113,6 +110,15 @@ def generate_queries(pair: WordPair, terms: Sequence[str]) -> list[str]:
     return queries
 
 
+def hit_counts(raw: Sequence[int]) -> tuple[int, ...]:
+    """The count rule of RelationVector.from_raw and VectorCache.put: each
+    count is int() of its value, and none is negative."""
+    raw = tuple(map(int, raw))
+    if min(raw, default=0) < 0:
+        raise ValueError("hit counts must be non-negative")
+    return raw
+
+
 @dataclass
 class RelationVector:
     pair: WordPair
@@ -121,9 +127,7 @@ class RelationVector:
 
     @staticmethod
     def from_raw(pair: WordPair, raw: Sequence[int]) -> "RelationVector":
-        raw = tuple(int(c) for c in raw)
-        if any(c < 0 for c in raw):
-            raise ValueError("hit counts must be non-negative")
+        raw = hit_counts(raw)
         return RelationVector(pair, raw, np.log1p(np.asarray(raw, dtype=float)))
 
     def is_zero(self) -> bool:

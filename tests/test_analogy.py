@@ -152,6 +152,14 @@ class TestEvaluate:
         assert report.correct == 1 and report.guesses_made == 2
         assert report.precision == 0.5 and report.recall == 1.0
 
+    def test_doubles_counts_two_guess_outcomes(self):
+        q = AnalogyQuestion(WordPair("x", "y"),
+                            (WordPair("a", "b"), WordPair("c", "d")), 1)
+        outs = [GuessOutcome((), 0.0), GuessOutcome((0,), 0.1), GuessOutcome((0, 1), 0.01),
+                GuessOutcome((1, 0), 0.01), GuessOutcome((), 0.0, skipped_zero_stem=True)]
+        report = evaluate([q] * len(outs), outs)
+        assert report.doubles == 2 and report.skipped == 2 and report.guesses_made == 5
+
 
 class TestRankPool:
     def test_identity_ranks_first(self):
@@ -283,6 +291,16 @@ class TestSweep:
             assert b.recall <= a.recall
             assert b.guesses <= a.guesses
             assert b.skipped >= a.skipped
+
+    def test_sweep_doubles_equal_two_guess_outcomes(self):
+        questions, vectors = self.make_fixture()
+        thresholds = grid_thresholds(-0.11, 0.11, 0.01)
+        rows = sat_sweep(questions, vectors, thresholds)
+        for t, row in zip(thresholds, rows):
+            outcomes = solve_all(questions, vectors, t)
+            doubles = sum(1 for o in outcomes if len(o.guesses) == 2)
+            assert row.doubles == evaluate(questions, outcomes).doubles == doubles
+        assert rows[0].doubles > 0 and rows[-1].doubles == 0
 
     def test_zero_stem_always_skipped(self):
         questions, vectors = self.make_fixture()

@@ -6,9 +6,9 @@ from click.testing import CliRunner
 
 from relsim.cache import VectorCache, load_cache
 from relsim.cli import cli, main
-from relsim.errors import CacheProvenanceError
+from relsim.errors import CacheProvenanceError, DataFormatError
 from relsim.index import load_corpus
-from relsim.terms import default_joining_terms, terms_checksum
+from relsim.terms import default_joining_terms, load_joining_terms, terms_checksum
 from relsim.vectors import WordPair
 
 
@@ -423,3 +423,43 @@ class TestInputErrors:
         assert code == 2 and "disk full" in err
         assert csv.read_text() == "old\n"
         assert sorted(p.name for p in tmp_path.iterdir() if p.name.startswith(".")) == []
+
+    def test_terms_without_index_checks_the_cache(self, capsys, sat_setup, nm_files,
+                                                  tmp_path):
+        q, cache = sat_setup
+        data, nm_cache = nm_files
+        table = list(default_joining_terms())
+        table[1] = "versus"
+        other = tmp_path / "terms.txt"
+        other.write_text("\n".join(table) + "\n")
+        same = tmp_path / "default-terms.txt"
+        same.write_text("\n".join(default_joining_terms()) + "\n")
+        for args in (["sat", "solve", str(q), "--cache", str(cache)],
+                     ["sat", "rank", str(q), "--cache", str(cache)],
+                     ["nounmod", "eval", str(data), "--cache", str(nm_cache)]):
+            code, _, err = run_main(capsys, *args, "--terms", str(other))
+            assert code == 1, err
+            assert terms_checksum(default_joining_terms()) in err
+            assert terms_checksum(load_joining_terms(other)) in err
+            code, _, err = run_main(capsys, *args, "--terms", str(same))
+            assert code == 0, err
+
+
+class TestCacheRows:
+    """A cache row is a pair key and VECTOR_LEN non-negative integer counts;
+    any other row is an input error naming the file and line."""
+
+    @pytest.mark.parametrize("counts", [
+        ["1"] * 127 + ["-1"], ["1.5"] + ["1"] * 127, ["x"] + ["1"] * 127,
+        ["1"] * 127, ["1"] * 129, []], ids=["negative", "fraction", "word", "127", "129",
+                                            "no-counts"])
+    def test_bad_row_is_an_input_error(self, capsys, sat_setup, counts):
+        q, cache = sat_setup
+        lineno = len(cache.read_text().splitlines()) + 1
+        with cache.open("a") as f:
+            f.write("\t".join(["zebra:stripe", *counts]) + "\n")
+        with pytest.raises(DataFormatError, match=f"^{cache}:{lineno}: "):
+            load_cache(cache)
+        code, _, err = run_main(capsys, "sat", "solve", str(q), "--cache", str(cache))
+        assert code == 1, err
+        assert f"{cache}:{lineno}: " in err and "internal error" not in err

@@ -5,12 +5,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from relsim.cache import VectorCache, load_cache
 from relsim.errors import DataFormatError, ProviderError
-from relsim.index import CountMode, Document, build_index, count_hits, parse_phrase
+from relsim.index import (CountMode, Document, PatternKind, build_index, count_hits,
+                          parse_phrase, parse_units, tokenize)
 from relsim.terms import (default_joining_terms, load_joining_terms,
                           terms_checksum)
 from relsim.vectors import (LocalIndexProvider, RelationVector, WordPair,
@@ -323,3 +324,46 @@ def test_provider_and_callable_give_equal_vectors_on_planted_corpus():
         by_pair = build_vector(provider, pair, TERMS).raw
         assert by_pair == build_vector(lambda q: provider(q), pair, TERMS).raw
         assert any(by_pair)
+
+
+def _witness(unit) -> str:
+    """A token that a joining term's unit matches: any token for '*',
+    "abc" for "abc*", the literal itself otherwise."""
+    if unit.kind is PatternKind.ANY_WORD:
+        return "w"
+    if unit.kind is PatternKind.SUBSTRING:
+        return unit.prefix + unit.suffix
+    return unit.text
+
+
+# A member is any text around a run of token characters, so that it holds a
+# token; "x-ray", "x_ray" and "Dog's" hold two.
+members = st.builds(lambda a, t, b: a + t + b, st.text(max_size=6),
+                    st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789", min_size=1,
+                            max_size=14),
+                    st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789 -_'", max_size=12))
+
+
+@settings(max_examples=400, deadline=None)
+@given(members, members)
+@example("x-ray", "ab")
+@example("advertisement", "a12345678")
+@example("Dog's", "ab1")
+def test_every_query_matches_the_pairs_own_tokens(x, y):
+    """Stemming, tokenizing and phrase parsing agree: in a corpus where each
+    phrase's members stand, as tokenized, on either side of a witness of
+    its joining term, every query of the pair counts at least 1."""
+    try:
+        pair = WordPair(x, y)
+    except ValueError:
+        assume(False)
+    tx, ty = tokenize(x), tokenize(y)
+    docs = []
+    for term in TERMS:
+        middle = [_witness(u) for u in parse_units(term)]
+        for first, second in ((tx, ty), (ty, tx)):
+            docs.append(Document(len(docs), tuple(first + middle + second)))
+    idx = build_index(docs)
+    assert min(LocalIndexProvider(idx).pair_counts(pair, TERMS)) >= 1, pair
+    for query in generate_queries(pair, TERMS):
+        assert count_hits(idx, parse_phrase(query)).count >= 1, (pair, query)
