@@ -30,12 +30,14 @@ class VectorCache:
     def __contains__(self, pair: WordPair) -> bool:
         return pair.key() in self.entries
 
-    def put(self, pair: WordPair, raw: Sequence[int]) -> None:
-        """Store VECTOR_LEN counts, checked by the count rule. Rows stay
-        tuples: a RelationVector per row would hold its log array too."""
-        if len(raw) != VECTOR_LEN:
-            raise ValueError(f"expected {VECTOR_LEN} counts, got {len(raw)}")
-        self.entries[pair.key()] = hit_counts(raw)
+    def put(self, pair: WordPair, raw: Sequence[int] | str) -> None:
+        """Store VECTOR_LEN counts, or a cache row's count text, checked by
+        the count rule (hit_counts). Rows stay tuples: a RelationVector per
+        row would hold its log array too."""
+        counts = hit_counts(raw)
+        if len(counts) != VECTOR_LEN:
+            raise ValueError(f"expected {VECTOR_LEN} counts, got {len(counts)}")
+        self.entries[pair.key()] = counts
 
     def vector(self, pair: WordPair) -> RelationVector:
         return RelationVector.from_raw(pair, self.entries[pair.key()])
@@ -80,7 +82,7 @@ def load_cache(path: str | Path, corpus_digest: str | None = None,
     for lineno, line in enumerate(lines[body_start:], body_start + 1):
         if not line.strip():
             continue
-        key, *counts = line.split("\t")
+        key, _, counts = line.partition("\t")
         try:
             cache.put(WordPair.from_key(key), counts)
         except ValueError as e:

@@ -215,7 +215,16 @@ class PositionalIndex:
         """Row in the document arrays of the document holding each position."""
         return np.searchsorted(self.doc_starts, positions, side="right") - 1
 
-    def _term_ids(self, pattern: TokenPattern) -> list[int]:
+    def token_ids(self) -> np.ndarray:
+        """The term id of the token at each global position (int32), the
+        inverse of the postings; built anew on each call."""
+        tokens = np.empty(self.token_count, dtype=np.int32)
+        tokens[self.positions] = np.repeat(np.arange(self.vocabulary_size, dtype=np.int32),
+                                           np.diff(self.offsets))
+        return tokens
+
+    def unit_term_ids(self, pattern: TokenPattern) -> list[int]:
+        """Ascending ids of the terms a literal or substring pattern matches."""
         if pattern.kind is PatternKind.LITERAL:
             i = self.term_id(pattern.text)
             return [] if i is None else [i]
@@ -227,12 +236,12 @@ class PositionalIndex:
 
     def matching_terms(self, pattern: TokenPattern) -> list[str]:
         """Vocabulary tokens matched by a literal or substring pattern."""
-        return [self.vocab[i] for i in self._term_ids(pattern)]
+        return [self.vocab[i] for i in self.unit_term_ids(pattern)]
 
     def unit_positions(self, pattern: TokenPattern) -> np.ndarray:
         """Ascending global positions of the tokens a literal or substring
         pattern matches."""
-        ids = self._term_ids(pattern)
+        ids = self.unit_term_ids(pattern)
         if len(ids) == 1:
             return self.term_positions(ids[0])
         if not ids:

@@ -9,23 +9,26 @@ reproducible caches.
 The 128 phrases of a pair differ only in the term between the members, so
 a local index counts them per pair rather than per phrase
 (LocalIndexProvider.pair_counts): each member's match starts are found
-once, the two members are joined once per word order and term length,
-and each term then filters that small candidate set by its own units.
-Any other provider is called once per phrase string.
+once, and the two members are joined once per word order and term length.
+One gather of the tokens between the members then checks every term of
+that length against a table of the vocabulary words each term unit
+matches, so only the members' own unit positions are memoized. Any other
+provider is called once per phrase string, and each count it returns must
+be a non-negative whole number (hit_counts).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import PhraseSyntaxError, ProviderError
 from .index import (MIN_WILDCARD_PREFIX, CountMode, PatternKind, PositionalIndex,
                     TokenPattern, count_matches, in_sorted, match_starts, parse_phrase,
-                    parse_units, tally, tokenize, whole_matches)
+                    parse_units, tokenize, whole_matches)
 
 HitCountProvider = Callable[[str], int]
 
@@ -110,13 +113,26 @@ def generate_queries(pair: WordPair, terms: Sequence[str]) -> list[str]:
     return queries
 
 
-def hit_counts(raw: Sequence[int]) -> tuple[int, ...]:
+def hit_counts(raw: Sequence | str) -> tuple[int, ...]:
     """The count rule of RelationVector.from_raw and VectorCache.put: each
-    count is int() of its value, and none is negative."""
-    raw = tuple(map(int, raw))
-    if min(raw, default=0) < 0:
+    count is a whole number, not negative, kept as an int. A value must
+    equal its int(), so 2.0 and True pass as 2 and 1, while 2.7, NaN and
+    infinity raise ValueError. `raw` may also be the tab-separated count
+    text of a cache row, read by int(), which takes whole-number text only
+    ("2", not "2.0")."""
+    if isinstance(raw, str):
+        counts = tuple(map(int, raw.split("\t"))) if raw else ()
+    else:
+        try:
+            counts = tuple(map(int, raw))
+            whole = counts == tuple(raw)
+        except OverflowError:  # int() of an infinity
+            whole = False
+        if not whole:
+            raise ValueError("hit counts must be whole numbers")
+    if min(counts, default=0) < 0:
         raise ValueError("hit counts must be non-negative")
-    return raw
+    return counts
 
 
 @dataclass
@@ -150,7 +166,7 @@ def build_vector(provider: HitCountProvider, pair: WordPair,
     raw = []
     for query in generate_queries(pair, terms):
         try:
-            raw.append(int(provider(query)))
+            raw += hit_counts([provider(query)])
         except Exception as e:
             raise ProviderError(query, e) from e
     return RelationVector.from_raw(pair, raw)
@@ -169,15 +185,24 @@ def cosine(v1, v2) -> float:
     return float(a @ b) / (na * nb)
 
 
+class _TermTable(NamedTuple):
+    terms: tuple[str, ...]
+    tokens: np.ndarray  # int32, the term id at each corpus position
+    member: np.ndarray  # bool, vocabulary x (distinct term unit + 1)
+    # term length g -> (the term numbers, each term's g unit columns)
+    gaps: dict[int, tuple[np.ndarray, np.ndarray]]
+
+
 class LocalIndexProvider:
     """Hit-count provider backed by a local positional index.
 
     Safe for concurrent queries. Called with a phrase, it counts that
-    phrase. pair_counts, which build_vector uses, counts all the phrases
-    of a pair with one member join per word order and term length, not
-    one scan per phrase. Each unit's positions are memoized per unit, so a
-    pair member's wildcard is expanded once, not in each of its 128
-    phrases.
+    phrase, memoizing each unit's positions. pair_counts, which
+    build_vector uses, counts all the phrases of a pair with one member
+    join per word order and term length, and then checks every term of
+    that length with one gather of the candidates' tokens. Its positions
+    memo holds pair-member units only, so a member's wildcard is expanded
+    once, not in each of its 128 phrases.
     """
 
     def __init__(self, index: PositionalIndex,
@@ -185,7 +210,7 @@ class LocalIndexProvider:
         self.index = index
         self.mode = mode
         self._units: dict[TokenPattern, np.ndarray] = {}
-        self._table: tuple[tuple[str, ...], dict] | None = None
+        self._table: _TermTable | None = None
 
     def _positions(self, pattern: TokenPattern) -> np.ndarray | None:
         if pattern.kind is PatternKind.ANY_WORD:
@@ -199,25 +224,37 @@ class LocalIndexProvider:
         units = [self._positions(p) for p in parse_phrase(phrase).patterns]
         return count_matches(self.index, units, self.mode)
 
-    def _term_table(self, terms: Sequence[str], px: str, py: str):
-        """Term length -> [(term number, [(offset, positions) of each unit
-        that is not a standalone '*'])], parsed once per term list. A term
-        that does not parse raises ProviderError naming the phrase
+    def _term_table(self, terms: Sequence[str], px: str, py: str) -> _TermTable:
+        """The tables pair_counts checks terms with, built on its first
+        call and again when the term list changes. Column c of the
+        membership table marks the vocabulary terms that distinct unit c
+        matches; the last column, for a standalone '*', is all true. A
+        term that does not parse raises ProviderError naming the phrase
         "px term py", the first phrase the phrase path would fail on."""
         terms = tuple(terms)
         table = self._table
-        if table is None or table[0] != terms:
+        if table is None or table.terms != terms:
+            columns: dict[TokenPattern, int] = {}
             gaps: dict[int, list] = {}
             for j, term in enumerate(terms):
                 try:
                     units = parse_units(term)
                 except PhraseSyntaxError as e:
                     raise ProviderError(_query(px, term, py), e) from e
-                gaps.setdefault(len(units), []).append(
-                    (j, [(i, self._positions(p)) for i, p in enumerate(units)
-                         if p.kind is not PatternKind.ANY_WORD]))
-            table = self._table = (terms, gaps)
-        return table[1]
+                # A standalone '*' takes the last column.
+                gaps.setdefault(len(units), []).append((j, [
+                    -1 if p.kind is PatternKind.ANY_WORD else columns.setdefault(p, len(columns))
+                    for p in units]))
+            member = np.zeros((self.index.vocabulary_size, len(columns) + 1), dtype=bool)
+            member[:, -1] = True
+            for p, c in columns.items():
+                member[self.index.unit_term_ids(p), c] = True
+            table = self._table = _TermTable(
+                terms, self.index.token_ids() if table is None else table.tokens, member,
+                {g: (np.array([j for j, _ in group]),
+                     np.array([cols for _, cols in group], dtype=np.intp).reshape(len(group), g))
+                 for g, group in gaps.items()})
+        return table
 
     def pair_counts(self, pair: WordPair, terms: Sequence[str]) -> list[int]:
         """The counts of generate_queries(pair, terms), in its order.
@@ -225,22 +262,24 @@ class LocalIndexProvider:
         Each member's match starts are found once. For each word order and
         each term length g, one join keeps the starts s of the first member
         (length la) whose second member starts at s + la + g, with the
-        whole span inside one document. Each term of length g then filters
-        that candidate set by its own units; an empty set counts 0 for
-        every term of that length.
+        whole span inside one document. One gather of the g tokens from
+        s + la on, looked up in the membership table, gives a candidates x
+        terms hit mask. A term counts its hit candidates, or in document
+        mode the documents holding one; an empty candidate set counts 0
+        for every term of that length.
         """
         px, py = _member_pattern(pair.x), _member_pattern(pair.y)
-        gaps = self._term_table(terms, px, py)
+        table = self._term_table(terms, px, py)
         members = []
         for pattern in (px, py):
             units = [self._positions(p) for p in parse_units(pattern)]
             members.append((len(units), match_starts(self.index, units)))
-        counts = [0] * (2 * len(terms))
+        counts = np.zeros(2 * len(terms), dtype=np.int64)
         last = self.index.token_count
         for order, ((la, a), (lb, b)) in enumerate((members, members[::-1])):
             if not len(a) or not len(b):
                 break  # a member that never matches makes every count 0
-            for g, group in gaps.items():
+            for g, (numbers, columns) in table.gaps.items():
                 n = la + g + lb
                 # In range, so that no start + offset below overflows int32.
                 starts = a if a[-1] <= last - n else a[a <= last - n]
@@ -248,11 +287,10 @@ class LocalIndexProvider:
                 starts, doc = whole_matches(self.index, starts, n)
                 if not len(starts):
                     continue
-                term_starts = starts + la
-                for j, checks in group:
-                    hit = None
-                    for i, positions in checks:
-                        found = in_sorted(positions, term_starts + i)
-                        hit = found if hit is None else hit & found
-                    counts[2 * j + order] = tally(doc if hit is None else doc[hit], self.mode)
-        return counts
+                window = table.tokens[(starts + la)[:, None] + np.arange(g)]
+                hit = table.member[window[:, None, :], columns].all(axis=2)
+                if self.mode is CountMode.DOCUMENT_HITS:
+                    # The rows ascend, so a document's candidates run from its first one.
+                    hit = np.logical_or.reduceat(hit, np.unique(doc, return_index=True)[1])
+                counts[2 * numbers + order] = hit.sum(axis=0)
+        return counts.tolist()

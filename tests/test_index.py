@@ -276,6 +276,27 @@ def test_save_load_round_trip(corpus):
     assert loaded.corpus_digest == idx.corpus_digest
 
 
+@settings(max_examples=100, deadline=None)
+@given(corpora())
+def test_token_ids_invert_the_postings(corpus):
+    """token_ids()[p] is the term at global position p, on a built and on a
+    loaded index: each position lies in exactly one term's postings."""
+    texts, ids = corpus
+    idx = build_index([Document(i, tuple(t)) for i, t in zip(ids, texts)])
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "corpus.idx"
+        save_index(idx, path)
+        loaded = load_index(path)
+    in_order = [tok for _, text in sorted(zip(ids, texts)) for tok in text]
+    for ix in (idx, loaded):
+        tokens = ix.token_ids()
+        assert tokens.dtype == np.int32 and len(tokens) == ix.token_count
+        assert np.array_equal(np.sort(ix.positions), np.arange(ix.token_count))
+        for t in range(ix.vocabulary_size):
+            assert np.all(tokens[ix.term_positions(t)] == t)
+        assert [ix.vocab[t] for t in tokens] == in_order
+
+
 def test_save_is_deterministic_and_compact(tmp_path):
     docs = [Document(i, tuple(random.Random(i).choices("abcde", k=50))) for i in range(20)]
     a, b = tmp_path / "a.idx", tmp_path / "b.idx"

@@ -224,6 +224,45 @@ class TestBuildVector:
         assert v.raw[2 * j + 1] == 0
 
 
+class TestCountRule:
+    """A hit count is a whole number, not negative. A value must equal its
+    int(), so 2.0 and True pass as 2 and 1; a cache row's count text must be
+    whole-number text."""
+
+    @pytest.mark.parametrize("raw", [[1.5, 2.9, True], [2.7], [1, float("nan")],
+                                     [float("inf")], [-1], [np.float64(0.5)]],
+                             ids=["fractions", "fraction", "nan", "inf", "negative",
+                                  "numpy-float"])
+    def test_fraction_or_negative_rejected(self, raw):
+        with pytest.raises(ValueError):
+            RelationVector.from_raw(WordPair("a", "b"), raw)
+        with pytest.raises(ValueError):
+            VectorCache("d", "t").put(WordPair("a", "b"), raw + [0] * (128 - len(raw)))
+
+    def test_whole_values_are_kept_as_ints(self):
+        raw = [2.0, True, np.int64(3), np.float64(4.0), 0]
+        v = RelationVector.from_raw(WordPair("a", "b"), raw)
+        assert v.raw == (2, 1, 3, 4, 0)
+        assert all(type(c) is int for c in v.raw)
+
+    @pytest.mark.parametrize("text", ["2.0", "1.5", "1e3", "True", ""])
+    def test_count_text_must_be_whole_number_text(self, text):
+        with pytest.raises(ValueError):
+            VectorCache("d", "t").put(WordPair("a", "b"), "\t".join([text] + ["1"] * 127))
+
+    def test_count_text_is_read_as_ints(self):
+        cache = VectorCache("d", "t")
+        cache.put(WordPair("a", "b"), "\t".join(map(str, range(128))))
+        assert cache.entries["a:b"] == tuple(range(128))
+
+    @pytest.mark.parametrize("count", [2.7, -1, "3"])
+    def test_bad_provider_count_names_its_phrase(self, count):
+        pair = WordPair("mason", "stone")
+        with pytest.raises(ProviderError) as exc:
+            build_vector(lambda q: count, pair, TERMS)
+        assert exc.value.query == generate_queries(pair, TERMS)[0]
+
+
 class TestCosine:
     def test_self_similarity(self):
         v = np.array([1.0, 2.0, 3.0])
@@ -303,6 +342,25 @@ term_tables = st.lists(st.lists(st.sampled_from(TERM_UNITS), max_size=3).map(" "
 @given(pair_corpora(), st.lists(st.tuples(st.sampled_from(PAIR_MEMBERS),
                                           st.sampled_from(PAIR_MEMBERS)), min_size=1,
                                 max_size=3), term_tables)
+# A term unit that matches no token, beside one that does.
+@example(([["mason", "of", "stone"], ["mason", "quux", "stone"]], [4, 1]),
+         [("mason", "stone")], ["quux", "of", "zeb*ra"])
+# An all-'*' term, in both word orders and twice in one document.
+@example(([["mason", "up", "the", "stone", "stone", "of", "a12", "mason", "x", "ray", "mason",
+            "stone"]], [3]), [("mason", "stone"), ("stone", "mason")], ["* *", "*"])
+# The same term twice in one table.
+@example(([["mason", "of", "stone", "mason", "of", "stone"], ["stone", "of", "mason"]], [5, 2]),
+         [("mason", "stone"), ("stone", "mason")], ["of", "the", "of"])
+# Three-unit terms.
+@example(([["mason", "not", "up", "the", "stone"], ["mason", "not", "the", "the", "stone"]],
+          [0, 9]), [("mason", "stone")], ["not * the", "not up the", "* the *"])
+# The empty term alone.
+@example(([["mason", "stone", "masons", "stones", "stone", "mason"]], [1]),
+         [("mason", "stone"), ("stone", "mason")], [""])
+# Candidate spans that end exactly at a document end, the corpus end among them.
+@example(([["x", "mason", "of", "stone"], ["stone", "of", "mason"], ["of", "stone"],
+           ["mason", "stone"]], [7, 8, 9, 10]),
+         [("mason", "stone"), ("stone", "mason")], ["of", "", "of *"])
 def test_pair_counts_equal_phrase_counts(corpus, pairs, terms):
     texts, ids = corpus
     idx = build_index([Document(i, tuple(t)) for i, t in zip(ids, texts)])
@@ -313,6 +371,23 @@ def test_pair_counts_equal_phrase_counts(corpus, pairs, terms):
             expected = [count_hits(idx, parse_phrase(q), mode).count
                         for q in generate_queries(pair, terms)]
             assert provider.pair_counts(pair, terms) == expected, (pair, terms, mode)
+
+
+def test_pair_counts_of_a_large_join_equal_phrase_counts():
+    """Two common members join into more than 10,000 candidates per word
+    order and term length, so each term group is checked in one large
+    gather."""
+    rng = random.Random(0)
+    words = ["mason", "masons", "stone", "stones", "of", "the", "not"]
+    docs = [Document(i, tuple(rng.choices(words, k=rng.randint(0, 60)))) for i in range(5000)]
+    idx = build_index(docs)
+    pair = WordPair("mason", "stone")
+    queries = generate_queries(pair, TERMS)
+    for mode in CountMode:
+        counts = LocalIndexProvider(idx, mode).pair_counts(pair, TERMS)
+        assert counts == [count_hits(idx, parse_phrase(q), mode).count for q in queries]
+        if mode is CountMode.OCCURRENCES:
+            assert min(counts[:2]) >= 10_000  # the empty term holds every candidate
 
 
 def test_provider_and_callable_give_equal_vectors_on_planted_corpus():
