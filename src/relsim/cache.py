@@ -40,7 +40,8 @@ class VectorCache:
         self.entries[pair.key()] = counts
 
     def vector(self, pair: WordPair) -> RelationVector:
-        return RelationVector.from_raw(pair, self.entries[pair.key()])
+        """The stored row as a vector; put checked it already."""
+        return RelationVector.from_counts(pair, self.entries[pair.key()])
 
     def save(self, path: str | Path) -> None:
         lines = [_MAGIC,

@@ -16,9 +16,9 @@ from __future__ import annotations
 import bisect
 import enum
 import hashlib
-import re
 from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +26,9 @@ import numpy as np
 from .errors import DataFormatError, DuplicateDocIdError, InputError, PhraseSyntaxError
 from .fileio import atomic_write, read_utf8
 
-_TOKEN_RE = re.compile(r"[a-z0-9]+")
+# Byte table for tokenize: a-z and 0-9 stay, every other byte becomes a space.
+SEPARATORS = bytes(b if b in b"abcdefghijklmnopqrstuvwxyz0123456789" else ord(" ")
+                   for b in range(256))
 
 # Embedded wildcard matches at most this many characters.
 MAX_GAP = 5
@@ -37,11 +39,15 @@ MIN_WILDCARD_PREFIX = 3
 def tokenize(text: str) -> list[str]:
     """Split text into lowercase alphanumeric tokens.
 
-    A token is a maximal run of letters/digits; everything else separates.
-    Apostrophes separate too, so a possessive like "dog's" yields
-    ["dog", "s"].
+    A token is a maximal run of the ASCII characters a-z and 0-9 after
+    str.lower(); any other character separates. So "CAFÉ" yields ["caf"],
+    and a possessive like "dog's" yields ["dog", "s"].
+
+    Every non-ASCII character encodes to bytes of 0x80 and up, which the
+    table maps to spaces; "replace" turns a lone surrogate into "?", a
+    separator too.
     """
-    return _TOKEN_RE.findall(text.lower())
+    return text.lower().encode("utf-8", "replace").translate(SEPARATORS).decode("ascii").split()
 
 
 @dataclass(frozen=True)
@@ -281,7 +287,7 @@ def build_index(docs: Sequence[Document]) -> PositionalIndex:
     """
     digest = hashlib.sha256()
     for doc in docs:
-        digest.update((str(doc.doc_id) + "".join(["\x00" + t for t in doc.tokens])
+        digest.update((str(doc.doc_id) + ("\x00" + "\x00".join(doc.tokens) if doc.tokens else "")
                        + "\x01").encode())
     ordered = sorted(docs, key=lambda d: d.doc_id)
     for a, b in zip(ordered, ordered[1:]):
@@ -291,17 +297,29 @@ def build_index(docs: Sequence[Document]) -> PositionalIndex:
     n = int(doc_lens.sum())
     if n > MAX_TOKENS:
         raise InputError(f"corpus has {n} tokens; an index holds at most {MAX_TOKENS}")
-    tokens = [t for d in ordered for t in d.tokens]
-    vocab = sorted(set(tokens))
+    vocab = sorted(set().union(*(d.tokens for d in ordered)))
     term_of = {t: i for i, t in enumerate(vocab)}
-    term_ids = np.fromiter(map(term_of.__getitem__, tokens), dtype=np.int32, count=n)
-    # A stable sort by term keeps each term's positions ascending.
-    positions = np.argsort(term_ids, kind="stable").astype(np.int32)
+    term_ids = np.fromiter(map(term_of.__getitem__, chain.from_iterable(d.tokens for d in ordered)),
+                           dtype=np.int32, count=n)
+    positions = sort_by_term(term_ids)
     offsets = np.zeros(len(vocab) + 1, dtype=np.int64)
     np.cumsum(np.bincount(term_ids, minlength=len(vocab)), out=offsets[1:])
     return PositionalIndex(tuple(vocab), offsets, positions,
                            np.array([d.doc_id for d in ordered], dtype=np.int64),
                            np.cumsum(doc_lens) - doc_lens, doc_lens, digest.hexdigest())
+
+
+def sort_by_term(term_ids: np.ndarray) -> np.ndarray:
+    """The positions sorted by term id, each term's ascending (int32):
+    np.argsort(term_ids, kind="stable"), done as a least-significant-digit
+    radix sort. NumPy's stable sort is a radix sort for keys of 16 bits or
+    fewer, so the ids are sorted by their low 16 bits, then, when any id
+    is 2**16 or more, stably by their high 16 bits."""
+    positions = np.argsort(term_ids.astype(np.uint16), kind="stable").astype(np.int32)
+    if len(term_ids) and term_ids.max() >= 2**16:
+        high = (term_ids[positions] >> 16).astype(np.uint16)
+        positions = positions[np.argsort(high, kind="stable")]
+    return positions
 
 
 def in_sorted(sorted_values: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -389,14 +407,10 @@ def load_corpus(path: str | Path) -> list[Document]:
                 for i, p in enumerate(files)]
     if not path.is_file():
         raise DataFormatError(f"corpus path not found: {path}")
-    sections: list[list[str]] = [[]]
-    for line in read_utf8(path).splitlines():
-        if line.strip() == DOC_SEPARATOR:
-            sections.append([])
-        else:
-            sections[-1].append(line)
-    return [Document(i, tuple(tokenize("\n".join(sec))))
-            for i, sec in enumerate(sections)]
+    lines = read_utf8(path).splitlines()
+    cuts = [-1, *(i for i, line in enumerate(lines) if line.strip() == DOC_SEPARATOR), len(lines)]
+    return [Document(i, tuple(tokenize("\n".join(lines[a + 1:b]))))
+            for i, (a, b) in enumerate(zip(cuts, cuts[1:]))]
 
 
 INDEX_MAGIC = b"relsim-index-v2\n"
@@ -467,7 +481,7 @@ def _index_from_arrays(a: dict[str, np.ndarray], path: str | Path) -> Positional
         raise fault("offsets do not cut the positions per term")
     if n and (positions.min() < 0 or positions.max() >= n):
         raise fault("a position lies outside the corpus")
-    ascending = np.diff(positions) > 0
+    ascending = positions[1:] > positions[:-1]
     cuts = offsets[1:-1]
     ascending[cuts[(cuts > 0) & (cuts < n)] - 1] = True
     if not ascending.all():

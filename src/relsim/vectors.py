@@ -143,8 +143,12 @@ class RelationVector:
 
     @staticmethod
     def from_raw(pair: WordPair, raw: Sequence[int]) -> "RelationVector":
-        raw = hit_counts(raw)
-        return RelationVector(pair, raw, np.log1p(np.asarray(raw, dtype=float)))
+        return RelationVector.from_counts(pair, hit_counts(raw))
+
+    @staticmethod
+    def from_counts(pair: WordPair, counts: tuple[int, ...]) -> "RelationVector":
+        """from_raw for counts that hit_counts has already returned."""
+        return RelationVector(pair, counts, np.log1p(np.asarray(counts, dtype=float)))
 
     def is_zero(self) -> bool:
         return not any(self.raw)

@@ -2,6 +2,25 @@
 package's own code paths."""
 
 import math
+import re
+
+
+def oracle_tokenize(text):
+    """Maximal runs of ASCII a-z and 0-9 in the lowercased text, by regex."""
+    return re.findall("[a-z0-9]+", text.lower())
+
+
+def oracle_corpus_sections(text):
+    """The text of each document of a single-file corpus: a line loop over
+    str.splitlines() that starts a new section at every line whose strip()
+    is "%%" and joins each section's lines with newlines."""
+    sections = [[]]
+    for line in text.splitlines():
+        if line.strip() == "%%":
+            sections.append([])
+        else:
+            sections[-1].append(line)
+    return ["\n".join(lines) for lines in sections]
 
 
 def oracle_match_unit(unit, token):

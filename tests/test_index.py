@@ -5,16 +5,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from relsim import index as index_mod
 from relsim.errors import DataFormatError, DuplicateDocIdError, InputError, PhraseSyntaxError
 from relsim.index import (CountMode, Document, PatternKind, PositionalIndex, build_index,
-                          count_hits, load_index, match_token, parse_phrase, save_index,
-                          tokenize)
+                          count_hits, load_corpus, load_index, match_token, parse_phrase,
+                          save_index, sort_by_term, tokenize)
 
-from oracles import oracle_count
+from oracles import oracle_corpus_sections, oracle_count, oracle_tokenize
 
 
 class TestTokenize:
@@ -34,6 +34,51 @@ class TestTokenize:
     def test_stable_under_retokenization(self, s):
         once = tokenize(s)
         assert tokenize(" ".join(once)) == once
+
+    @given(st.text())
+    @example("İstanbul")  # lower() gives "i" plus a combining dot
+    @example("\u212a9")  # the Kelvin sign lowers to "k"
+    @example("a\udc80b")  # a lone surrogate, as surrogateescape makes
+    @example("x\u2028y\x85z")
+    @example("CAFÉ-au-lait")
+    @example("")
+    def test_matches_regex_oracle(self, s):
+        assert tokenize(s) == oracle_tokenize(s)
+
+
+_LINE_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                "\u2028", "\u2029"]
+_SEPARATOR_LINES = ["%%", "\t%%", "%%\x0c", "\u3000%%\u3000", " %% ", "%%%", "%% %", "x%%"]
+
+
+@st.composite
+def corpus_files(draw):
+    """Corpus file text: lines of text or of (near-)separators, each ended
+    by one of the line breaks str.splitlines() knows, the last maybe not."""
+    lines = draw(st.lists(st.one_of(st.sampled_from(_SEPARATOR_LINES),
+                                    st.text(alphabet="ab Z9%\t\u3000É-", max_size=12)),
+                          max_size=12))
+    breaks = draw(st.lists(st.sampled_from(_LINE_BREAKS), min_size=len(lines),
+                           max_size=len(lines)))
+    text = "".join(line + br for line, br in zip(lines, breaks))
+    return text[:-len(breaks[-1])] if lines and draw(st.booleans()) else text
+
+
+class TestLoadCorpus:
+    @given(corpus_files())
+    @example("%%\n%%\n%%")  # separators first, last and back to back
+    @example("a\r\n\t%%\r\nb")
+    @example("a\x0b%%\x1cb\u2028%%%\u2028c")
+    @example("one\n\x0c%%\u3000\ntwo")
+    @settings(deadline=None)
+    def test_sections_match_line_loop_oracle(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "corpus.txt"
+            path.write_bytes(text.encode("utf-8"))
+            docs = load_corpus(path)
+            sections = oracle_corpus_sections(path.read_text(encoding="utf-8"))
+        assert [d.doc_id for d in docs] == list(range(len(sections)))
+        assert [list(d.tokens) for d in docs] == [oracle_tokenize(s) for s in sections]
 
 
 class TestBuildIndex:
@@ -77,6 +122,26 @@ class TestBuildIndex:
             "80b977c3ccc35f78d0846799188a623a25991cce3045474224feb10aeb719855"
         assert build_index([]).corpus_digest == \
             "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+        # An empty document adds its id and "\x01" only, here ahead of the rest.
+        assert build_index([Document(5, ()), Document(3, ("x",))]).corpus_digest == \
+            "c858400d747919dd180243fcf14120d0694015df7415e7efe37fb72ec5100afb"
+
+    def test_over_65536_terms_match_brute_force_postings(self):
+        # Term ids pass 2**16, so sort_by_term sorts by the high halves too.
+        rng = random.Random(10)
+        words = [f"w{i}" for i in range(70_000)]
+        docs = [Document(d, tuple(rng.choices(words, k=rng.randint(0, 1500))))
+                for d in rng.sample(range(500), 300)]
+        oracle: dict[str, list[tuple[int, int]]] = {}
+        for doc in sorted(docs, key=lambda d: d.doc_id):
+            for offset, token in enumerate(doc.tokens):
+                oracle.setdefault(token, []).append((doc.doc_id, offset))
+        idx = build_index(docs)
+        assert idx.vocabulary_size == len(oracle) > 2**16
+        assert {t: idx.postings[t] for t in idx.vocab} == oracle
+        ascending = np.diff(idx.positions) > 0
+        ascending[idx.offsets[1:-1] - 1] = True
+        assert ascending.all()
 
     def test_token_limit(self, monkeypatch):
         monkeypatch.setattr(index_mod, "MAX_TOKENS", 3)
@@ -89,6 +154,14 @@ class TestBuildIndex:
         a, b = build_index(docs), build_index(docs)
         assert a.postings == b.postings
         assert a.corpus_digest == b.corpus_digest
+
+
+@given(st.lists(st.integers(0, 2**20), max_size=300) | st.lists(st.integers(0, 3), max_size=300))
+def test_sort_by_term_is_stable_argsort(ids):
+    term_ids = np.array(ids, dtype=np.int32)
+    got = sort_by_term(term_ids)
+    assert got.dtype == np.int32
+    assert np.array_equal(got, np.argsort(term_ids, kind="stable"))
 
 
 class TestMatchToken:

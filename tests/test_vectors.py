@@ -130,6 +130,19 @@ class TestWordPair:
         assert loaded.entries == cache.entries
         assert loaded.entries[pair.key()] == tuple(counts)
 
+    def test_vector_equals_from_raw_on_every_row(self):
+        """vector() skips the count rule that put already applied, and
+        gives what from_raw gives on the row."""
+        cache = load_cache(Path(__file__).parent / "golden" / "expected" / "vector_cache.txt")
+        assert len(cache.entries) > 20
+        for key, row in cache.entries.items():
+            pair = WordPair.from_key(key)
+            got, want = cache.vector(pair), RelationVector.from_raw(pair, row)
+            assert got.pair == want.pair and got.raw == want.raw
+            assert type(got.raw) is tuple and all(type(c) is int for c in got.raw)
+            assert got.r.dtype == want.r.dtype and got.r.tobytes() == want.r.tobytes()
+            assert got.r.tobytes() == np.log1p(np.array(row, dtype=np.float64)).tobytes()
+
 
 class TestGenerateQueries:
     def test_always_128(self):
