@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 input error, 2 internal error.
 
 from __future__ import annotations
 
+import math
 import sys
 from pathlib import Path
 
@@ -149,6 +150,12 @@ def _parse_sweep_spec(spec: str):
                               "finite LO <= HI and STEP > 0") from None
 
 
+def _finite(ctx, param, value):
+    if not math.isfinite(value):
+        raise click.BadParameter(f"{value} is not a finite number")
+    return value
+
+
 def _emit_sweep(rows, csv_path):
     csv_text = sweep.rows_to_csv(rows)
     if csv_path:
@@ -173,7 +180,8 @@ def sat():
 @click.option("--index", "index_path", type=click.Path(exists=True), default=None,
               help="Verify cache provenance against this index.")
 @click.option("--terms", "terms_path", type=click.Path(exists=True), default=None)
-@click.option("--threshold", type=float, default=0.0, show_default=True)
+@click.option("--threshold", type=float, default=0.0, show_default=True,
+              callback=_finite)
 @click.option("--sweep", "sweep_spec", default=None, metavar="LO:HI:STEP",
               help="Sweep the margin threshold and write CSV rows.")
 @click.option("--csv", "csv_path", type=click.Path(), default=None)
@@ -211,7 +219,7 @@ def sat_solve(questions_file, cache_path, index_path, terms_path, threshold,
 @click.option("--cache", "cache_path", required=True, type=click.Path(exists=True))
 @click.option("--index", "index_path", type=click.Path(exists=True), default=None)
 @click.option("--terms", "terms_path", type=click.Path(exists=True), default=None)
-@click.option("--top", type=int, default=10, show_default=True)
+@click.option("--top", type=click.IntRange(min=1), default=10, show_default=True)
 def sat_rank(questions_file, cache_path, index_path, terms_path, top):
     """Pool-ranking evaluation: each stem ranks the pool of all correct
     choice pairs; report how often its own pair lands in the top k."""
@@ -250,7 +258,8 @@ def nounmod():
 @click.option("--terms", "terms_path", type=click.Path(exists=True), default=None)
 @click.option("--classes", "granularity", type=click.Choice(["30", "5"]),
               default="30", show_default=True)
-@click.option("--threshold", type=float, default=0.0, show_default=True)
+@click.option("--threshold", type=float, default=0.0, show_default=True,
+              callback=_finite)
 @click.option("--sweep", "sweep_spec", default=None, metavar="LO:HI:STEP")
 @click.option("--csv", "csv_path", type=click.Path(), default=None)
 @click.option("--seed", type=int, default=0, show_default=True)
@@ -260,6 +269,9 @@ def nounmod_eval(data_file, cache_path, index_path, terms_path, granularity,
                  threshold, sweep_spec, csv_path, seed, tie_break):
     """Leave-one-out nearest-neighbour evaluation of labeled pairs."""
     items = load_labeled_pairs(data_file)
+    if len(items) < 2:
+        raise DataFormatError(f"{data_file}: need at least two labelled items, "
+                              f"got {len(items)}")
     cache = _load_cache_for(cache_path, index_path, terms_path)
     vectors_map = _require_vectors(cache, [item.pair() for item in items])
     vecs = [vectors_map[item.pair().key()] for item in items]

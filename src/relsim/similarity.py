@@ -7,10 +7,13 @@ second-best candidate and the margin between their cosines; a margin
 threshold is applied afterwards by the margin rule, so a sweep over
 thresholds scores every probe only once.
 
-A cosine is dot / (|a| * |b|), and 0 when either norm is 0. Rows are
-deduplicated before any product is taken, so identical vectors get
-bit-identical cosines and tie exactly, whatever order the dot product sums
-in.
+A cosine is dot / (|a| * |b|), and 0 when either norm is 0, the formula of
+vectors.cosine. Each dot product is taken over its two rows alone
+(np.vecdot), so a cosine depends on those two rows and on nothing else in
+the matrix: it is bit-equal to vectors.cosine of the same two vectors and
+symmetric, and identical vectors tie exactly wherever they sit. Rows that
+are parallel but not equal have mathematically equal cosines that may
+still differ in the last bit.
 """
 
 from __future__ import annotations
@@ -32,30 +35,18 @@ def question_rng(seed: int, ordinal: int) -> random.Random:
 
 
 class PairMatrix:
-    """The log vectors of word pairs as matrix rows, each distinct row
-    stored once."""
+    """The log vectors of word pairs as matrix rows."""
 
     def __init__(self, vectors: Iterable[RelationVector]):
-        ids: dict[bytes, int] = {}
-        inverse, unique = [], []
-        for v in vectors:
-            row = np.asarray(v.r, dtype=float)
-            k = ids.setdefault(row.tobytes(), len(ids))
-            if k == len(unique):
-                unique.append(row)
-            inverse.append(k)
-        self.inverse = np.array(inverse, dtype=np.intp)  # row -> unique row
-        self.unique = np.array(unique)
-        self.norms = np.sqrt(np.einsum("ij,ij->i", self.unique, self.unique))
+        self.rows = np.ascontiguousarray([v.r for v in vectors], dtype=float)
+        norms = np.sqrt(np.vecdot(self.rows, self.rows))
+        # A zero norm is kept as inf: a zero row's dot products are 0, so its
+        # cosines come out as 0 / inf = 0 with no special case.
+        self.norms = np.where(norms == 0.0, np.inf, norms)
 
     def cosines(self, probe: int) -> np.ndarray:
         """Cosine of row `probe` with every row, in row order."""
-        u = self.inverse[probe]
-        cos = np.zeros(len(self.unique))
-        if self.norms[u] != 0.0:
-            np.divide(self.unique @ self.unique[u], self.norms[u] * self.norms,
-                      out=cos, where=self.norms != 0.0)
-        return cos[self.inverse]
+        return np.vecdot(self.rows, self.rows[probe]) / (self.norms[probe] * self.norms)
 
 
 def cosines_to(probe: RelationVector,

@@ -225,6 +225,12 @@ class TestExitCodes:
         proc = self.run_cli("sat", "solve", "/nonexistent/file")
         assert proc.returncode == 1
 
+    def test_package_runs_as_module(self):
+        proc = subprocess.run([sys.executable, "-m", "relsim", "--help"],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert "nounmod" in proc.stdout
+
 
 def run_main(capsys, *args):
     """Exit code, stdout and stderr of the CLI entry point, run in-process."""
@@ -255,6 +261,36 @@ class TestInputErrors:
             code, _, err = run_main(capsys, *args, "--sweep", spec)
             assert code == 1, err
             assert "bad sweep spec" in err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_threshold_exits_one(self, capsys, sat_setup, nm_files, value):
+        q, cache = sat_setup
+        data, nm_cache = nm_files
+        for args in (["sat", "solve", str(q), "--cache", str(cache)],
+                     ["nounmod", "eval", str(data), "--cache", str(nm_cache)]):
+            code, out, err = run_main(capsys, *args, "--threshold", value)
+            assert code == 1, err
+            assert "--threshold" in err and "not a finite number" in err
+            assert out == ""
+
+    @pytest.mark.parametrize("top", ["0", "-3"])
+    def test_rank_top_below_one_exits_one(self, capsys, sat_setup, top):
+        q, cache = sat_setup
+        code, out, err = run_main(capsys, "sat", "rank", str(q), "--cache", str(cache),
+                                  "--top", top)
+        assert code == 1, err
+        assert "--top" in err
+        assert out == ""
+
+    def test_nounmod_eval_of_one_item_names_the_file(self, capsys, nm_files, tmp_path):
+        _, nm_cache = nm_files
+        one = tmp_path / "one.tsv"
+        one.write_text("traffic\tstreet\tloc\n")
+        code, out, err = run_main(capsys, "nounmod", "eval", str(one), "--cache",
+                                  str(nm_cache))
+        assert code == 1, err
+        assert f"{one}: need at least two labelled items" in err
+        assert "internal error" not in err and out == ""
 
     def test_sweep_stdout_equals_csv_file(self, capsys, sat_setup, nm_files, tmp_path):
         q, cache = sat_setup
