@@ -1,9 +1,9 @@
 """On-disk cache of raw hit counts, keyed by word pair.
 
 Raw counts (integers, not logs) are persisted so the transform can change
-without re-querying. The cache records the corpus digest and joining-term
-checksum it was built against and refuses to load under a different
-configuration.
+without re-querying. The cache records the corpus digest, joining-term
+checksum and count mode it was built with and refuses to load under a
+different configuration.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from typing import Sequence
 
 from .errors import CacheProvenanceError, DataFormatError
 from .fileio import atomic_write, read_utf8
+from .index import CountMode
 from .terms import TERM_COUNT
 from .vectors import RelationVector, WordPair, hit_counts
 
@@ -26,6 +27,7 @@ class VectorCache:
     corpus_digest: str
     terms_checksum: str
     entries: dict[str, tuple[int, ...]] = field(default_factory=dict)
+    mode: CountMode = CountMode.DOCUMENT_HITS
 
     def __contains__(self, pair: WordPair) -> bool:
         return pair.key() in self.entries
@@ -47,6 +49,9 @@ class VectorCache:
         lines = [_MAGIC,
                  f"# corpus: {self.corpus_digest}",
                  f"# terms: {self.terms_checksum}"]
+        # Document caches keep the bytes they had before caches recorded a mode.
+        if self.mode is not CountMode.DOCUMENT_HITS:
+            lines.append(f"# mode: {self.mode.value}")
         for key in sorted(self.entries):
             lines.append(key + "\t" + "\t".join(str(c) for c in self.entries[key]))
         with atomic_write(path) as f:
@@ -54,16 +59,19 @@ class VectorCache:
 
 
 def load_cache(path: str | Path, corpus_digest: str | None = None,
-               terms_checksum: str | None = None) -> VectorCache:
-    """Load a cache, verifying it matches the active corpus and term table.
+               terms_checksum: str | None = None,
+               mode: CountMode | None = None) -> VectorCache:
+    """Load a cache, verifying it matches the active corpus, term table and
+    count mode; a cache without a mode line counts documents.
 
-    Passing None for a digest skips that check (trust the cache header).
+    Passing None for a digest or the mode skips that check (trust the
+    cache header).
     """
     path = Path(path)
     lines = read_utf8(path).splitlines()
     if not lines or lines[0] != _MAGIC:
         raise DataFormatError(f"{path} is not a relsim vector cache")
-    header = {}
+    header = {"mode": CountMode.DOCUMENT_HITS.value}
     body_start = 1
     for line in lines[1:]:
         if not line.startswith("# ") or "\t" in line:  # a pair key may start with "# "
@@ -71,7 +79,8 @@ def load_cache(path: str | Path, corpus_digest: str | None = None,
         body_start += 1
         k, _, v = line[2:].partition(": ")
         header[k] = v
-    for field_name, expected in (("corpus", corpus_digest), ("terms", terms_checksum)):
+    for field_name, expected in (("corpus", corpus_digest), ("terms", terms_checksum),
+                                 ("mode", None if mode is None else mode.value)):
         if expected is None:
             continue
         found = header.get(field_name, "<missing>")
@@ -79,7 +88,11 @@ def load_cache(path: str | Path, corpus_digest: str | None = None,
             raise CacheProvenanceError(
                 f"{path}: {field_name} provenance mismatch: cache has {found}, "
                 f"active configuration has {expected}")
-    cache = VectorCache(header.get("corpus", ""), header.get("terms", ""))
+    try:
+        cache = VectorCache(header.get("corpus", ""), header.get("terms", ""),
+                            mode=CountMode(header["mode"]))
+    except ValueError:
+        raise DataFormatError(f"{path}: unknown count mode {header['mode']!r}") from None
     for lineno, line in enumerate(lines[body_start:], body_start + 1):
         if not line.strip():
             continue

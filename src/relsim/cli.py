@@ -100,11 +100,12 @@ def vectors_cmd(pairs_file, index_path, cache_path, fmt, mode, terms_path):
     idx = load_index(index_path)
     terms = _load_terms(terms_path)
     checksum = terms_checksum(terms)
+    mode = CountMode(mode)
     if Path(cache_path).exists():
-        cache = load_cache(cache_path, idx.corpus_digest, checksum)
+        cache = load_cache(cache_path, idx.corpus_digest, checksum, mode)
     else:
-        cache = VectorCache(idx.corpus_digest, checksum)
-    provider = LocalIndexProvider(idx, CountMode(mode))
+        cache = VectorCache(idx.corpus_digest, checksum, mode=mode)
+    provider = LocalIndexProvider(idx, mode)
 
     pairs = _extract_pairs(pairs_file, fmt)
     seen: set[str] = set()

@@ -367,24 +367,18 @@ def tally(doc: np.ndarray, mode: CountMode) -> int:
     return int(np.count_nonzero(doc[1:] != doc[:-1])) + 1
 
 
-def count_matches(index: PositionalIndex, units: Sequence[np.ndarray | None],
-                  mode: CountMode) -> int:
-    """Count the matches of a phrase, given for each unit the ascending
-    global positions it matches (None for a standalone '*'); a match must
-    end in the document it starts in."""
-    return tally(whole_matches(index, match_starts(index, units), len(units))[1], mode)
-
-
 def count_hits(index: PositionalIndex, q: PhraseQuery,
                mode: CountMode = CountMode.DOCUMENT_HITS) -> HitCount:
     """Count matches of a phrase against every document independently.
 
     Matches may overlap; each starting position counts once in occurrence
-    mode. Document mode counts documents with at least one match.
+    mode. Document mode counts documents with at least one match; a match
+    must end in the document it starts in.
     """
     units = [None if p.kind is PatternKind.ANY_WORD else index.unit_positions(p)
              for p in q.patterns]
-    return HitCount(count_matches(index, units, mode), mode)
+    starts = match_starts(index, units)
+    return HitCount(tally(whole_matches(index, starts, len(units))[1], mode), mode)
 
 
 # ---------------------------------------------------------------------------

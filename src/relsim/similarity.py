@@ -83,22 +83,12 @@ def top_two(scores: Sequence[float], rng: random.Random | None = None) -> TopTwo
         raise ValueError("need at least one score")
     if n == 1:
         return TopTwo(0, 0, 0.0)
-
-    def by_tiebreak(tied: np.ndarray) -> list[int]:
-        if rng is None:
-            return tied.tolist()
+    # The positions scoring at least the second-highest score.
+    top = np.flatnonzero(scores >= np.partition(scores, n - 2)[n - 2]).tolist()
+    keys = range(n)
+    if rng is not None and len(set(scores[top].tolist())) < len(top):
         keys = rng.sample(range(n), n)
-        return sorted(tied.tolist(), key=keys.__getitem__)
-
-    tied = np.flatnonzero(scores == scores.max())
-    if len(tied) > 1:
-        best, second = by_tiebreak(tied)[:2]
-    else:
-        best = int(tied[0])
-        rest = scores.copy()
-        rest[best] = -np.inf
-        runners = np.flatnonzero(rest == rest.max())
-        second = int(runners[0]) if len(runners) == 1 else by_tiebreak(runners)[0]
+    best, second = sorted(top, key=lambda i: (-scores[i], keys[i]))[:2]
     return TopTwo(best, second, float(scores[best] - scores[second]))
 
 

@@ -12,9 +12,8 @@ a local index counts them per pair rather than per phrase
 once, and the two members are joined once per word order and term length.
 One gather of the tokens between the members then checks every term of
 that length against a table of the vocabulary words each term unit
-matches, so only the members' own unit positions are memoized. Any other
-provider is called once per phrase string, and each count it returns must
-be a non-negative whole number (hit_counts).
+matches. Any other provider is called once per phrase string, and each
+count it returns must be a non-negative whole number (hit_counts).
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ import numpy as np
 
 from .errors import PhraseSyntaxError, ProviderError
 from .index import (MIN_WILDCARD_PREFIX, CountMode, PatternKind, PositionalIndex,
-                    TokenPattern, count_matches, in_sorted, match_starts, parse_phrase,
+                    TokenPattern, count_hits, in_sorted, match_starts, parse_phrase,
                     parse_units, tokenize, whole_matches)
 
 HitCountProvider = Callable[[str], int]
@@ -147,7 +146,8 @@ class RelationVector:
 
     @staticmethod
     def from_counts(pair: WordPair, counts: tuple[int, ...]) -> "RelationVector":
-        """from_raw for counts that hit_counts has already returned."""
+        """from_raw for counts already known to keep the count rule: the
+        output of hit_counts, or LocalIndexProvider.pair_counts' sums."""
         return RelationVector(pair, counts, np.log1p(np.asarray(counts, dtype=float)))
 
     def is_zero(self) -> bool:
@@ -166,14 +166,14 @@ def build_vector(provider: HitCountProvider, pair: WordPair,
     per phrase of generate_queries.
     """
     if isinstance(provider, LocalIndexProvider):
-        return RelationVector.from_raw(pair, provider.pair_counts(pair, terms))
-    raw = []
+        return RelationVector.from_counts(pair, tuple(provider.pair_counts(pair, terms)))
+    raw = ()
     for query in generate_queries(pair, terms):
         try:
             raw += hit_counts([provider(query)])
         except Exception as e:
             raise ProviderError(query, e) from e
-    return RelationVector.from_raw(pair, raw)
+    return RelationVector.from_counts(pair, raw)
 
 
 def cosine(v1, v2) -> float:
@@ -201,32 +201,21 @@ class LocalIndexProvider:
     """Hit-count provider backed by a local positional index.
 
     Safe for concurrent queries. Called with a phrase, it counts that
-    phrase, memoizing each unit's positions. pair_counts, which
-    build_vector uses, counts all the phrases of a pair with one member
-    join per word order and term length, and then checks every term of
-    that length with one gather of the candidates' tokens. Its positions
-    memo holds pair-member units only, so a member's wildcard is expanded
-    once, not in each of its 128 phrases.
+    phrase with count_hits. pair_counts, which build_vector uses, counts
+    all the phrases of a pair with one member join per word order and term
+    length, and then checks every term of that length with one gather of
+    the candidates' tokens, so a member's wildcard is expanded once per
+    pair, not in each of its 128 phrases.
     """
 
     def __init__(self, index: PositionalIndex,
                  mode: CountMode = CountMode.DOCUMENT_HITS):
         self.index = index
         self.mode = mode
-        self._units: dict[TokenPattern, np.ndarray] = {}
         self._table: _TermTable | None = None
 
-    def _positions(self, pattern: TokenPattern) -> np.ndarray | None:
-        if pattern.kind is PatternKind.ANY_WORD:
-            return None
-        found = self._units.get(pattern)
-        if found is None:
-            found = self._units[pattern] = self.index.unit_positions(pattern)
-        return found
-
     def __call__(self, phrase: str) -> int:
-        units = [self._positions(p) for p in parse_phrase(phrase).patterns]
-        return count_matches(self.index, units, self.mode)
+        return count_hits(self.index, parse_phrase(phrase), self.mode).count
 
     def _term_table(self, terms: Sequence[str], px: str, py: str) -> _TermTable:
         """The tables pair_counts checks terms with, built on its first
@@ -254,7 +243,7 @@ class LocalIndexProvider:
             for p, c in columns.items():
                 member[self.index.unit_term_ids(p), c] = True
             table = self._table = _TermTable(
-                terms, self.index.token_ids() if table is None else table.tokens, member,
+                terms, self.index.token_ids(), member,
                 {g: (np.array([j for j, _ in group]),
                      np.array([cols for _, cols in group], dtype=np.intp).reshape(len(group), g))
                  for g, group in gaps.items()})
@@ -276,7 +265,8 @@ class LocalIndexProvider:
         table = self._term_table(terms, px, py)
         members = []
         for pattern in (px, py):
-            units = [self._positions(p) for p in parse_units(pattern)]
+            # A member has no standalone '*', so each unit has positions.
+            units = [self.index.unit_positions(p) for p in parse_units(pattern)]
             members.append((len(units), match_starts(self.index, units)))
         counts = np.zeros(2 * len(terms), dtype=np.int64)
         last = self.index.token_count

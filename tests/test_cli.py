@@ -7,7 +7,7 @@ from click.testing import CliRunner
 from relsim.cache import VectorCache, load_cache
 from relsim.cli import cli, main
 from relsim.errors import CacheProvenanceError, DataFormatError
-from relsim.index import load_corpus
+from relsim.index import CountMode, load_corpus
 from relsim.terms import default_joining_terms, load_joining_terms, terms_checksum
 from relsim.vectors import WordPair
 
@@ -101,6 +101,16 @@ class TestVectors:
         with pytest.raises(CacheProvenanceError) as exc:
             load_cache(p, "digest-two", "terms-one")
         assert "digest-one" in str(exc.value) and "digest-two" in str(exc.value)
+
+    def test_mode_line_only_in_occurrence_caches(self, tmp_path):
+        for mode in CountMode:
+            p = tmp_path / f"{mode.value}.tsv"
+            VectorCache("d", "t", mode=mode).save(p)
+            assert ("# mode: occurrence" in p.read_text()) == (mode is CountMode.OCCURRENCES)
+            assert load_cache(p, "d", "t", mode).mode is mode
+        p.write_text(p.read_text().replace("occurrence", "tokens"))
+        with pytest.raises(DataFormatError, match="unknown count mode 'tokens'"):
+            load_cache(p)
 
     def test_dedup_across_formats(self, runner, built_index, tmp_path):
         q = tmp_path / "q.tsv"
@@ -404,6 +414,23 @@ class TestInputErrors:
                                 "--cache", str(tmp_path / "cache.tsv"))
         assert code == 1, err
         assert str(cut) in err and "internal error" not in err
+
+    @pytest.mark.parametrize("first, second", [("document", "occurrence"),
+                                               ("occurrence", "document")])
+    def test_cache_of_another_count_mode_exits_one(self, capsys, built_index, tmp_path,
+                                                   first, second):
+        pairs = tmp_path / "pairs.tsv"
+        pairs.write_text("mason\tstone\n")
+        cache = tmp_path / "cache.tsv"
+        args = ["vectors", str(pairs), "--index", str(built_index), "--cache", str(cache)]
+        assert run_main(capsys, *args, "--mode", first)[0] == 0
+        saved = cache.read_bytes()
+        code, _, err = run_main(capsys, *args, "--mode", second)
+        assert code == 1, err
+        assert f"cache has {first}" in err and f"has {second}" in err
+        assert cache.read_bytes() == saved
+        code, out, _ = run_main(capsys, *args, "--mode", first)
+        assert code == 0 and "0 computed, 1 reused" in out
 
     @pytest.mark.parametrize("term, shown", [("ab*", "'ab*'"), ("a**b", "'a**b'"),
                                              ("--", "'--'")])

@@ -43,6 +43,19 @@ class TestTopTwo:
         assert (top.best, top.second) == (order[0], order[1])
         assert top.margin == scores[order[0]] - scores[order[1]]
 
+    @given(st.lists(st.integers(0, 3), min_size=1, max_size=12), st.integers(0, 50))
+    def test_draws_rng_only_for_a_tie_in_the_top_two(self, values, seed):
+        """A passed rng is left as it was unless a tie touches the best
+        two scores; then it is advanced by one sample(range(n), n)."""
+        scores = [v / 4 for v in values]
+        n = len(scores)
+        rng, expected = random.Random(seed), random.Random(seed)
+        top_two(scores, rng)
+        ranked = sorted(scores, reverse=True) + [None]
+        if n > 1 and ranked[1] in (ranked[0], ranked[2]):
+            expected.sample(range(n), n)
+        assert rng.getstate() == expected.getstate()
+
     def test_single_score_is_its_own_runner_up(self):
         assert top_two([0.3]) == top_two([0.3], random.Random(1))
         assert (top_two([0.3]).best, top_two([0.3]).second) == (0, 0)
