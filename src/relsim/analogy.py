@@ -179,8 +179,9 @@ def cumulative_top_k(ranks: Sequence[int], k_max: int = 10) -> list[TopKRow]:
 # Question file parsing
 
 def parse_pair(text: str) -> WordPair:
-    """The pair of an "x:y" field, stripped and lowercased."""
-    return WordPair.from_key(text.strip().lower())
+    """The pair of an "x:y" field, each member stripped and lowercased."""
+    x, _, y = text.partition(":")
+    return WordPair(x.strip().lower(), y.strip().lower())
 
 
 def _question_row(fields: list[str]) -> AnalogyQuestion:

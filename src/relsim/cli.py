@@ -117,11 +117,7 @@ def vectors_cmd(pairs_file, index_path, cache_path, fmt, mode, terms_path):
         if pair in cache:
             reused += 1
             continue
-        try:
-            vector = build_vector(provider, pair, terms)
-        except ValueError as e:  # a member with no token characters
-            raise DataFormatError(f"{pairs_file}: pair {pair.key()!r}: {e}") from None
-        cache.put(pair, vector.raw)
+        cache.put(pair, build_vector(provider, pair, terms).raw)
         computed += 1
     cache.save(cache_path)
     click.echo(f"pairs: {len(seen)} distinct ({computed} computed, {reused} reused)")

@@ -36,10 +36,10 @@ HitCountProvider = Callable[[str], int]
 class WordPair:
     """A word pair; multiword members use underscores ("shoot_down").
 
-    Each member is non-empty and holds no ':', tab or line break, so the
-    key "x:y" splits back into the same pair and fits in one field of a
-    TSV line. Every loader builds its pairs here, so this is the one
-    check of the member rule.
+    Each member holds a token (a letter or digit, by tokenize), so it has
+    a query fragment, and no ':', tab or line break, so the key "x:y"
+    splits back into the same pair and fits in one field of a TSV line.
+    Every pair file and cache loader builds its pairs here: the one check.
     """
 
     x: str
@@ -48,10 +48,10 @@ class WordPair:
     def __post_init__(self):
         for member in (self.x, self.y):
             # A line break is any character that str.splitlines splits at.
-            if not member or ":" in member or "\t" in member \
-                    or member.splitlines() != [member]:
-                raise ValueError(f"bad word pair {self.x!r}, {self.y!r}: members must be "
-                                 "non-empty, without ':', tabs or line breaks")
+            if ":" in member or "\t" in member or member.splitlines() != [member] \
+                    or not tokenize(member):
+                raise ValueError(f"bad word pair {self.x!r}, {self.y!r}: a member has no token "
+                                 "characters (a-z, 0-9) or holds ':', a tab or a line break")
 
     def key(self) -> str:
         return f"{self.x}:{self.y}"
@@ -86,11 +86,9 @@ def stem(word: str) -> str:
 
 
 def _member_pattern(member: str) -> str:
-    """Query fragment for one pair member: its tokens ("x-ray" and "x_ray"
-    give "x ray"), with only the final token stemmed."""
+    """Query fragment for one pair member, which holds a token (WordPair):
+    its tokens ("x-ray" gives "x ray"), with only the final one stemmed."""
     tokens = tokenize(member)
-    if not tokens:
-        raise ValueError(f"pair member {member!r} has no token characters")
     return " ".join(tokens[:-1] + [stem(tokens[-1])])
 
 
@@ -117,18 +115,19 @@ def hit_counts(raw: Sequence | str) -> tuple[int, ...]:
     count is a whole number, not negative, kept as an int. A value must
     equal its int(), so 2.0 and True pass as 2 and 1, while 2.7, NaN and
     infinity raise ValueError. `raw` may also be the tab-separated count
-    text of a cache row, read by int(), which takes whole-number text only
-    ("2", not "2.0")."""
+    text of a cache row, whose fields hold ASCII digits only ("2", not
+    "2.0", "+2", " 2", "2_0" or "-0")."""
     if isinstance(raw, str):
-        counts = tuple(map(int, raw.split("\t"))) if raw else ()
-    else:
-        try:
-            counts = tuple(map(int, raw))
-            whole = counts == tuple(raw)
-        except OverflowError:  # int() of an infinity
-            whole = False
-        if not whole:
-            raise ValueError("hit counts must be whole numbers")
+        if not (raw.isascii() and raw.replace("\t", "").isdigit()):
+            raise ValueError("hit counts must be ASCII digits")
+        return tuple(map(int, raw.split("\t")))
+    try:
+        counts = tuple(map(int, raw))
+        whole = counts == tuple(raw)
+    except OverflowError:  # int() of an infinity
+        whole = False
+    if not whole:
+        raise ValueError("hit counts must be whole numbers")
     if min(counts, default=0) < 0:
         raise ValueError("hit counts must be non-negative")
     return counts

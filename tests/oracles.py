@@ -10,6 +10,16 @@ def oracle_tokenize(text):
     return re.findall("[a-z0-9]+", text.lower())
 
 
+# The characters str.splitlines breaks lines at, as its documentation lists them.
+LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+def oracle_pair_member(member):
+    """Whether a word pair member is valid: it holds a token and no ':',
+    tab or line break."""
+    return bool(oracle_tokenize(member)) and not set(member) & set(":\t" + LINE_BREAKS)
+
+
 def oracle_corpus_sections(text):
     """The text of each document of a single-file corpus: a line loop over
     str.splitlines() that starts a new section at every line whose strip()

@@ -390,7 +390,27 @@ class TestInputErrors:
         code, _, err = run_main(capsys, "vectors", str(pairs), "--index", str(built_index),
                                 "--cache", str(tmp_path / "cache.tsv"))
         assert code == 1, err
-        assert "'--'" in err and "internal error" not in err
+        assert f"{pairs}:2: bad word pair '--', 'street'" in err
+        assert "internal error" not in err
+        assert not (tmp_path / "cache.tsv").exists()
+
+    @pytest.mark.parametrize("reader", ["questions", "labelled", "cache"])
+    def test_member_without_token_characters_names_its_line(self, capsys, sat_setup,
+                                                             nm_files, reader):
+        q, cache = sat_setup
+        data, nm_cache = nm_files
+        path, line = {"questions": (q, "--:street\twater:riverbed\tmason:stone\ta"),
+                      "labelled": (data, "--\tstreet\tloc"),
+                      "cache": (cache, "\t".join(["--:street"] + ["0"] * 128))}[reader]
+        lineno = len(path.read_text().splitlines()) + 1
+        with path.open("a") as f:
+            f.write(line + "\n")
+        command = ["nounmod", "eval", str(data), "--cache", str(nm_cache)] \
+            if reader == "labelled" else ["sat", "solve", str(q), "--cache", str(cache)]
+        code, out, err = run_main(capsys, *command)
+        assert code == 1, err
+        assert f"{path}:{lineno}: bad word pair '--', 'street'" in err
+        assert "internal error" not in err and out == ""
 
     def test_v1_json_index_exits_one(self, capsys, tmp_path):
         old = tmp_path / "old.idx"

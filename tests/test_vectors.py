@@ -1,5 +1,6 @@
 import math
 import random
+import string
 import tempfile
 from pathlib import Path
 
@@ -8,21 +9,35 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from relsim.analogy import parse_pair
 from relsim.cache import VectorCache, load_cache
+from relsim.cli import _plain_pair
 from relsim.errors import DataFormatError, ProviderError
 from relsim.index import (CountMode, Document, PatternKind, build_index, count_hits,
                           parse_phrase, parse_units, tokenize)
+from relsim.nounmod import load_labeled_pairs
 from relsim.terms import (default_joining_terms, load_joining_terms,
                           terms_checksum)
 from relsim.vectors import (LocalIndexProvider, RelationVector, WordPair,
                             build_vector, cosine, generate_queries, stem)
 
-from oracles import oracle_cosine
+from oracles import LINE_BREAKS, oracle_cosine, oracle_pair_member
 from test_acceptance import PLANT_PAIRS, planted_corpus
 
 TERMS = default_joining_terms()
 
 words = st.text(alphabet="abcdefghijklmnopqrstuvwxyz", min_size=1, max_size=20)
+
+# Member text that often holds no token, or a ':', tab or line break.
+member_texts = st.text(st.one_of(st.sampled_from("aZ9-_' :\t#\u00e9\u0665" + LINE_BREAKS),
+                                 st.characters()), max_size=6)
+
+# A valid member in mixed case, padded with blanks that the readers strip.
+padded_members = st.builds(lambda a, head, tail, b: a + head + tail + b,
+                           st.text(" \u00a0\u3000", max_size=3),
+                           st.text(string.ascii_letters + string.digits, min_size=1, max_size=8),
+                           st.text(string.ascii_letters + string.digits + "-_'. ", max_size=8),
+                           st.text(" \u00a0\u3000", max_size=3))
 
 
 class TestStem:
@@ -103,6 +118,31 @@ class TestWordPair:
     def test_bad_member_rejected(self, x, y):
         with pytest.raises(ValueError):
             WordPair(x, y)
+
+    @given(member_texts, member_texts)
+    @example("--", "street")
+    @example("x-ray", "\u0665")
+    @example("a\x1cb", "c")
+    def test_accepts_exactly_the_oracles_members(self, x, y):
+        try:
+            WordPair(x, y)
+            accepted = True
+        except ValueError:
+            accepted = False
+        assert accepted == (oracle_pair_member(x) and oracle_pair_member(y))
+
+    @given(padded_members, padded_members)
+    @example(" Mason ", " Stone ")
+    @settings(deadline=None)
+    def test_every_reader_gives_padded_members_one_key(self, x, y):
+        key = f"{x.strip().lower()}:{y.strip().lower()}"
+        assert parse_pair(f"{x}:{y}").key() == key
+        assert _plain_pair([x, y]).key() == key
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "labelled.tsv"
+            path.write_text(f"{x}\t{y}\tloc\n", encoding="utf-8")
+            [item] = load_labeled_pairs(path)
+        assert item.pair().key() == key
 
     def test_from_key_splits_at_the_colon(self):
         assert WordPair.from_key("shoot_down:aircraft") == WordPair("shoot_down", "aircraft")
@@ -258,7 +298,8 @@ class TestCountRule:
         assert v.raw == (2, 1, 3, 4, 0)
         assert all(type(c) is int for c in v.raw)
 
-    @pytest.mark.parametrize("text", ["2.0", "1.5", "1e3", "True", ""])
+    @pytest.mark.parametrize("text", ["2.0", "1.5", "1e3", "True", "", "+5", " 5", "5_0",
+                                      "\u0665", "-0", "\u00b2"])
     def test_count_text_must_be_whole_number_text(self, text):
         with pytest.raises(ValueError):
             VectorCache("d", "t").put(WordPair("a", "b"), "\t".join([text] + ["1"] * 127))
