@@ -98,6 +98,8 @@ def load_cache(path: str | Path, corpus_digest: str | None = None,
             continue
         key, _, counts = line.partition("\t")
         try:
+            if key in cache.entries:
+                raise ValueError(f"repeated key {key!r}")
             cache.put(WordPair.from_key(key), counts)
         except ValueError as e:
             raise DataFormatError(f"{path}:{lineno}: {e}") from e

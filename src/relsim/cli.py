@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 input error, 2 internal error.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from pathlib import Path
@@ -97,6 +98,7 @@ def _extract_pairs(path: str, fmt: str) -> list[WordPair]:
               help="Alternative joining-term table (64 lines).")
 def vectors_cmd(pairs_file, index_path, cache_path, fmt, mode, terms_path):
     """Compute and cache raw hit-count vectors for every distinct pair."""
+    pairs = list(dict.fromkeys(_extract_pairs(pairs_file, fmt)))  # one per key, in order
     idx = load_index(index_path)
     terms = _load_terms(terms_path)
     checksum = terms_checksum(terms)
@@ -106,45 +108,38 @@ def vectors_cmd(pairs_file, index_path, cache_path, fmt, mode, terms_path):
     else:
         cache = VectorCache(idx.corpus_digest, checksum, mode=mode)
     provider = LocalIndexProvider(idx, mode)
-
-    pairs = _extract_pairs(pairs_file, fmt)
-    seen: set[str] = set()
-    computed = reused = 0
-    for pair in pairs:
-        if pair.key() in seen:
-            continue
-        seen.add(pair.key())
-        if pair in cache:
-            reused += 1
-            continue
+    new = [p for p in pairs if p not in cache]
+    for pair in new:
         cache.put(pair, build_vector(provider, pair, terms).raw)
-        computed += 1
     cache.save(cache_path)
-    click.echo(f"pairs: {len(seen)} distinct ({computed} computed, {reused} reused)")
+    click.echo(f"pairs: {len(pairs)} distinct ({len(new)} computed, "
+               f"{len(pairs) - len(new)} reused)")
 
 
-def _load_cache_for(cache_path, index_path, terms_path):
-    """Load a cache, checking its corpus against --index and its term table
-    against --terms (the default table when only --index is given)."""
+def _cached_vectors(pairs, cache_path, index_path, terms_path):
+    """Each pair's cached vector by key, from a cache checked against --index and --terms."""
     digest = load_index(index_path).corpus_digest if index_path else None
     checksum = terms_checksum(_load_terms(terms_path)) if index_path or terms_path else None
-    return load_cache(cache_path, digest, checksum)
-
-
-def _require_vectors(cache, pairs):
+    cache = load_cache(cache_path, digest, checksum)
     missing = sorted({p.key() for p in pairs if p not in cache})
     if missing:
         raise DataFormatError("missing cached vectors for pairs: " + ", ".join(missing))
     return {p.key(): cache.vector(p) for p in pairs}
 
 
-def _parse_sweep_spec(spec: str):
+def _sweep_grid(ctx, param, spec):
+    """The --sweep thresholds, or None without --sweep. Click processes the
+    flags given before those left out, so a given --csv is already read."""
+    if spec is None:
+        if ctx.params.get("csv_path"):
+            raise click.UsageError("--csv needs --sweep", ctx)
+        return None
     try:
         lo, hi, step = (float(x) for x in spec.split(":"))
         return sweep.grid_thresholds(lo, hi, step)
     except ValueError:
-        raise DataFormatError(f"bad sweep spec {spec!r}, expected LO:HI:STEP with "
-                              "finite LO <= HI and STEP > 0") from None
+        raise click.BadParameter(f"bad sweep spec {spec!r}, expected LO:HI:STEP with "
+                                 "finite LO <= HI and STEP > 0") from None
 
 
 def _finite(ctx, param, value):
@@ -163,6 +158,27 @@ def _emit_sweep(rows, csv_path):
         click.echo(csv_text, nl=False)
 
 
+def _options(*options):
+    """One decorator adding `options`, which --help lists in this order."""
+    return lambda command: functools.reduce(lambda c, add: add(c), reversed(options), command)
+
+
+_cache_options = _options(
+    click.option("--cache", "cache_path", required=True, type=click.Path(exists=True)),
+    click.option("--index", "index_path", type=click.Path(exists=True), default=None,
+                 help="Verify cache provenance against this index."),
+    click.option("--terms", "terms_path", type=click.Path(exists=True), default=None))
+
+_threshold_options = _options(
+    click.option("--threshold", type=float, default=0.0, show_default=True, callback=_finite),
+    click.option("--sweep", "sweep_thresholds", default=None, metavar="LO:HI:STEP",
+                 callback=_sweep_grid, help="Sweep the margin threshold and write CSV rows."),
+    click.option("--csv", "csv_path", type=click.Path(), default=None),
+    click.option("--seed", type=int, default=0, show_default=True),
+    click.option("--tie-break", type=click.Choice(TIE_BREAKS),
+                 default="random", show_default=True))
+
+
 # ---------------------------------------------------------------------------
 # sat
 
@@ -173,28 +189,17 @@ def sat():
 
 @sat.command("solve")
 @click.argument("questions_file", type=click.Path(exists=True))
-@click.option("--cache", "cache_path", required=True, type=click.Path(exists=True))
-@click.option("--index", "index_path", type=click.Path(exists=True), default=None,
-              help="Verify cache provenance against this index.")
-@click.option("--terms", "terms_path", type=click.Path(exists=True), default=None)
-@click.option("--threshold", type=float, default=0.0, show_default=True,
-              callback=_finite)
-@click.option("--sweep", "sweep_spec", default=None, metavar="LO:HI:STEP",
-              help="Sweep the margin threshold and write CSV rows.")
-@click.option("--csv", "csv_path", type=click.Path(), default=None)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--tie-break", type=click.Choice(TIE_BREAKS),
-              default="random", show_default=True)
+@_cache_options
+@_threshold_options
 def sat_solve(questions_file, cache_path, index_path, terms_path, threshold,
-              sweep_spec, csv_path, seed, tie_break):
+              sweep_thresholds, csv_path, seed, tie_break):
     """Answer analogy questions at a margin threshold, or sweep thresholds."""
     questions = analogy.load_questions(questions_file)
-    cache = _load_cache_for(cache_path, index_path, terms_path)
-    vectors = _require_vectors(cache, [p for q in questions for p in q.pairs()])
+    vectors = _cached_vectors([p for q in questions for p in q.pairs()],
+                              cache_path, index_path, terms_path)
 
-    if sweep_spec is not None:
-        thresholds = _parse_sweep_spec(sweep_spec)
-        _emit_sweep(sweep.sat_sweep(questions, vectors, thresholds, seed, tie_break),
+    if sweep_thresholds is not None:
+        _emit_sweep(sweep.sat_sweep(questions, vectors, sweep_thresholds, seed, tie_break),
                     csv_path)
         return
 
@@ -213,16 +218,14 @@ def sat_solve(questions_file, cache_path, index_path, terms_path, threshold,
 
 @sat.command("rank")
 @click.argument("questions_file", type=click.Path(exists=True))
-@click.option("--cache", "cache_path", required=True, type=click.Path(exists=True))
-@click.option("--index", "index_path", type=click.Path(exists=True), default=None)
-@click.option("--terms", "terms_path", type=click.Path(exists=True), default=None)
+@_cache_options
 @click.option("--top", type=click.IntRange(min=1), default=10, show_default=True)
 def sat_rank(questions_file, cache_path, index_path, terms_path, top):
     """Pool-ranking evaluation: each stem ranks the pool of all correct
     choice pairs; report how often its own pair lands in the top k."""
     questions = analogy.load_questions(questions_file)
-    cache = _load_cache_for(cache_path, index_path, terms_path)
-    vectors = _require_vectors(cache, [p for q in questions for p in q.pairs()])
+    vectors = _cached_vectors([p for q in questions for p in q.pairs()],
+                              cache_path, index_path, terms_path)
 
     usable = [q for q in questions if not vectors[q.stem.key()].is_zero()]
     dropped = len(questions) - len(usable)
@@ -250,34 +253,25 @@ def nounmod():
 
 @nounmod.command("eval")
 @click.argument("data_file", type=click.Path(exists=True))
-@click.option("--cache", "cache_path", required=True, type=click.Path(exists=True))
-@click.option("--index", "index_path", type=click.Path(exists=True), default=None)
-@click.option("--terms", "terms_path", type=click.Path(exists=True), default=None)
+@_cache_options
 @click.option("--classes", "granularity", type=click.Choice(["30", "5"]),
               default="30", show_default=True)
-@click.option("--threshold", type=float, default=0.0, show_default=True,
-              callback=_finite)
-@click.option("--sweep", "sweep_spec", default=None, metavar="LO:HI:STEP")
-@click.option("--csv", "csv_path", type=click.Path(), default=None)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--tie-break", type=click.Choice(TIE_BREAKS),
-              default="random", show_default=True)
+@_threshold_options
 def nounmod_eval(data_file, cache_path, index_path, terms_path, granularity,
-                 threshold, sweep_spec, csv_path, seed, tie_break):
+                 threshold, sweep_thresholds, csv_path, seed, tie_break):
     """Leave-one-out nearest-neighbour evaluation of labeled pairs."""
     items = load_labeled_pairs(data_file)
     if len(items) < 2:
         raise DataFormatError(f"{data_file}: need at least two labelled items, "
                               f"got {len(items)}")
-    cache = _load_cache_for(cache_path, index_path, terms_path)
-    vectors_map = _require_vectors(cache, [item.pair() for item in items])
-    vecs = [vectors_map[item.pair().key()] for item in items]
+    vectors = _cached_vectors([item.pair() for item in items],
+                              cache_path, index_path, terms_path)
+    vecs = [vectors[item.pair().key()] for item in items]
     labels = [item.label for item in items]
     gran = int(granularity)
 
-    if sweep_spec is not None:
-        thresholds = _parse_sweep_spec(sweep_spec)
-        _emit_sweep(sweep.nounmod_sweep(vecs, labels, thresholds, gran, seed, tie_break),
+    if sweep_thresholds is not None:
+        _emit_sweep(sweep.nounmod_sweep(vecs, labels, sweep_thresholds, gran, seed, tie_break),
                     csv_path)
         return
 

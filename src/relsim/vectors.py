@@ -18,6 +18,7 @@ count it returns must be a non-negative whole number (hit_counts).
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
@@ -115,12 +116,15 @@ def hit_counts(raw: Sequence | str) -> tuple[int, ...]:
     count is a whole number, not negative, kept as an int. A value must
     equal its int(), so 2.0 and True pass as 2 and 1, while 2.7, NaN and
     infinity raise ValueError. `raw` may also be the tab-separated count
-    text of a cache row, whose fields hold ASCII digits only ("2", not
-    "2.0", "+2", " 2", "2_0" or "-0")."""
+    text of a cache row, whose fields hold ASCII digits only, without a
+    leading zero ("2" and "0", not "2.0", "+2", " 2", "2_0", "-0" or "02")."""
     if isinstance(raw, str):
-        if not (raw.isascii() and raw.replace("\t", "").isdigit()):
-            raise ValueError("hit counts must be ASCII digits")
-        return tuple(map(int, raw.split("\t")))
+        try:  # JSON integers have no leading zero; one json.loads beats int() per field
+            if raw.isascii() and raw.replace("\t", "").isdigit():
+                return tuple(json.loads("[" + raw.replace("\t", ",") + "]"))
+        except ValueError:
+            pass
+        raise ValueError("hit counts must be ASCII digits without leading zeros")
     try:
         counts = tuple(map(int, raw))
         whole = counts == tuple(raw)

@@ -163,15 +163,6 @@ class TestSatSolve:
         assert lines[0] == "threshold,precision,recall,f,guesses,skipped,doubles"
         assert len(lines) == 24  # header + 23 rows
 
-    def test_missing_pair_listed(self, runner, sat_setup, tmp_path):
-        _, cache = sat_setup
-        q2 = tmp_path / "q2.tsv"
-        q2.write_text("unknown:pairs\ttraffic:street\twater:riverbed\ta\n")
-        result = runner.invoke(cli, ["sat", "solve", str(q2), "--cache", str(cache)],
-                               standalone_mode=False)
-        assert result.exception is not None
-        assert "unknown:pairs" in str(result.exception)
-
     def test_rank_report(self, runner, sat_setup):
         q, cache = sat_setup
         result = runner.invoke(cli, ["sat", "rank", str(q), "--cache", str(cache),
@@ -332,6 +323,52 @@ class TestInputErrors:
         code, out, err = run_main(capsys, "sat", "solve", str(q), "--cache", str(cache))
         assert code == 0, err
         assert "precision:" in out
+
+    @pytest.mark.parametrize("command, text, missing", [
+        ("sat solve", "unknown:pairs\ttraffic:street\twater:riverbed\ta\n", "unknown:pairs"),
+        ("sat rank", "unknown:pairs\ttraffic:street\twater:riverbed\ta\n", "unknown:pairs"),
+        ("nounmod eval", "unknown\tpairs\tloc\ntraffic\tstreet\tloc\nsome\tmore\tloc\n",
+         "some:more, unknown:pairs"),
+    ], ids=["sat-solve", "sat-rank", "nounmod-eval"])
+    def test_missing_pair_listed(self, capsys, sat_setup, tmp_path, command, text, missing):
+        _, cache = sat_setup
+        data = tmp_path / "data.tsv"
+        data.write_text(text)
+        code, out, err = run_main(capsys, *command.split(), str(data), "--cache", str(cache))
+        assert code == 1 and out == ""
+        assert err == f"error: missing cached vectors for pairs: {missing}\n"
+
+    def test_csv_without_sweep_is_a_usage_error(self, capsys, sat_setup, nm_files,
+                                                tmp_path):
+        q, cache = sat_setup
+        data, nm_cache = nm_files
+        not_a_cache = tmp_path / "not-a-cache.tsv"
+        not_a_cache.write_text("not a cache\n")
+        csv = tmp_path / "out.csv"
+        for args, good_cache in ((["sat", "solve", str(q)], cache),
+                                 (["nounmod", "eval", str(data)], nm_cache)):
+            code, out, err = run_main(capsys, *args, "--cache", str(not_a_cache),
+                                      "--csv", str(csv))
+            assert code == 1, err
+            assert "--csv needs --sweep" in err and "not a relsim vector cache" not in err
+            assert out == "" and not csv.exists()
+            # the flags' order does not matter
+            code, out, err = run_main(capsys, *args, "--csv", str(csv), "--cache",
+                                      str(good_cache), "--sweep", "-0.02:0.02:0.01")
+            assert code == 0, err
+            assert out == f"wrote 5 rows to {csv}\n"
+            csv.unlink()
+
+    def test_pairs_file_is_checked_before_the_index(self, capsys, tmp_path):
+        pairs = tmp_path / "pairs.tsv"
+        pairs.write_text("water\triverbed\ntraffic:jam\tstreet\n")
+        not_an_index = tmp_path / "not-an-index.idx"
+        not_an_index.write_text("not an index\n")
+        code, _, err = run_main(capsys, "vectors", str(pairs), "--index", str(not_an_index),
+                                "--cache", str(tmp_path / "cache.tsv"))
+        assert code == 1, err
+        assert f"{pairs}:2: " in err and str(not_an_index) not in err
+        assert not (tmp_path / "cache.tsv").exists()
 
     @pytest.mark.parametrize("answer", ["", "bc"])
     def test_bad_answer_letter_exits_one(self, capsys, sat_setup, tmp_path, answer):
@@ -546,3 +583,16 @@ class TestCacheRows:
         code, _, err = run_main(capsys, "sat", "solve", str(q), "--cache", str(cache))
         assert code == 1, err
         assert f"{cache}:{lineno}: " in err and "internal error" not in err
+
+    def test_repeated_key_is_an_input_error(self, capsys, sat_setup):
+        q, cache = sat_setup
+        rows = cache.read_text().splitlines()
+        with cache.open("a") as f:
+            f.write(rows[-1].replace("\t0", "\t1", 1) + "\n")
+        key = rows[-1].partition("\t")[0]
+        with pytest.raises(DataFormatError,
+                           match=f"^{cache}:{len(rows) + 1}: repeated key '{key}'$"):
+            load_cache(cache)
+        code, out, err = run_main(capsys, "sat", "solve", str(q), "--cache", str(cache))
+        assert code == 1 and out == ""
+        assert f"{cache}:{len(rows) + 1}: repeated key" in err

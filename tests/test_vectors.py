@@ -280,7 +280,7 @@ class TestBuildVector:
 class TestCountRule:
     """A hit count is a whole number, not negative. A value must equal its
     int(), so 2.0 and True pass as 2 and 1; a cache row's count text must be
-    whole-number text."""
+    whole-number text in ASCII digits, without a leading zero."""
 
     @pytest.mark.parametrize("raw", [[1.5, 2.9, True], [2.7], [1, float("nan")],
                                      [float("inf")], [-1], [np.float64(0.5)]],
@@ -299,10 +299,11 @@ class TestCountRule:
         assert all(type(c) is int for c in v.raw)
 
     @pytest.mark.parametrize("text", ["2.0", "1.5", "1e3", "True", "", "+5", " 5", "5_0",
-                                      "\u0665", "-0", "\u00b2"])
+                                      "\u0665", "-0", "\u00b2", "05", "00", "007"])
     def test_count_text_must_be_whole_number_text(self, text):
-        with pytest.raises(ValueError):
-            VectorCache("d", "t").put(WordPair("a", "b"), "\t".join([text] + ["1"] * 127))
+        for fields in ([text] + ["1"] * 127, ["1"] * 127 + [text]):
+            with pytest.raises(ValueError):
+                VectorCache("d", "t").put(WordPair("a", "b"), "\t".join(fields))
 
     def test_count_text_is_read_as_ints(self):
         cache = VectorCache("d", "t")
