@@ -103,7 +103,8 @@ def vectors_cmd(pairs_file, index_path, cache_path, fmt, mode, terms_path):
     terms = _load_terms(terms_path)
     checksum = terms_checksum(terms)
     mode = CountMode(mode)
-    if Path(cache_path).exists():
+    exists = Path(cache_path).exists()
+    if exists:
         cache = load_cache(cache_path, idx.corpus_digest, checksum, mode)
     else:
         cache = VectorCache(idx.corpus_digest, checksum, mode=mode)
@@ -111,7 +112,8 @@ def vectors_cmd(pairs_file, index_path, cache_path, fmt, mode, terms_path):
     new = [p for p in pairs if p not in cache]
     for pair in new:
         cache.put(pair, build_vector(provider, pair, terms).raw)
-    cache.save(cache_path)
+    if new or not exists:  # an unchanged cache file is left as it is
+        cache.save(cache_path)
     click.echo(f"pairs: {len(pairs)} distinct ({len(new)} computed, "
                f"{len(pairs) - len(new)} reused)")
 

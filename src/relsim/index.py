@@ -392,19 +392,21 @@ def load_corpus(path: str | Path) -> list[Document]:
 
     Directory: one document per file, doc_ids assigned by lexicographic
     filename order. Single file: documents separated by a line containing
-    only "%%".
+    only "%%". Every document holds one shared str per distinct token.
     """
     path = Path(path)
     if path.is_dir():
-        files = sorted(p for p in path.iterdir() if p.is_file())
-        return [Document(i, tuple(tokenize(read_utf8(p))))
-                for i, p in enumerate(files)]
-    if not path.is_file():
+        texts = (read_utf8(f) for f in sorted(f for f in path.iterdir() if f.is_file()))
+    elif path.is_file():
+        lines = read_utf8(path).splitlines()
+        cuts = [-1, *(i for i, line in enumerate(lines) if line.strip() == DOC_SEPARATOR),
+                len(lines)]
+        texts = ("\n".join(lines[a + 1:b]) for a, b in zip(cuts, cuts[1:]))
+    else:
         raise DataFormatError(f"corpus path not found: {path}")
-    lines = read_utf8(path).splitlines()
-    cuts = [-1, *(i for i, line in enumerate(lines) if line.strip() == DOC_SEPARATOR), len(lines)]
-    return [Document(i, tuple(tokenize("\n".join(lines[a + 1:b]))))
-            for i, (a, b) in enumerate(zip(cuts, cuts[1:]))]
+    seen: dict[str, str] = {}
+    return [Document(i, tuple(map(seen.setdefault, toks, toks)))
+            for i, toks in enumerate(map(tokenize, texts))]
 
 
 INDEX_MAGIC = b"relsim-index-v2\n"

@@ -7,7 +7,7 @@ from click.testing import CliRunner
 from relsim.cache import VectorCache, load_cache
 from relsim.cli import cli, main
 from relsim.errors import CacheProvenanceError, DataFormatError
-from relsim.index import CountMode, load_corpus
+from relsim.index import CountMode, build_index, load_corpus
 from relsim.terms import default_joining_terms, load_joining_terms, terms_checksum
 from relsim.vectors import WordPair
 
@@ -39,6 +39,39 @@ class TestCorpusLoading:
         docs = load_corpus(f)
         assert len(docs) == 2
         assert docs[1].tokens == ("second", "document", "here")
+
+    @pytest.mark.parametrize("form", ["directory", "separator file"])
+    def test_one_str_per_distinct_token(self, tmp_path, form):
+        # multi-character words only: CPython shares one-character strings anyway
+        texts = ["street traffic street traffic", "Traffic in the STREET",
+                 "riverbed street traffic"]
+        if form == "directory":
+            for i, text in enumerate(texts):
+                (tmp_path / f"{i}.txt").write_text(text)
+            docs = load_corpus(tmp_path)
+        else:
+            f = tmp_path / "corpus.txt"
+            f.write_text("\n%%\n".join(texts))
+            docs = load_corpus(f)
+        tokens = [t for d in docs for t in d.tokens]
+        assert len(docs) == 3 and len(tokens) == 11
+        assert len({id(t) for t in tokens}) == len(set(tokens))
+
+    def test_directory_matches_separator_file(self, tmp_path):
+        d = tmp_path / "corpus"
+        d.mkdir()
+        (d / "10.txt").write_text("ten comes first")
+        (d / "2.txt").write_text("Two comes\nsecond")
+        (d / "3.txt").write_text("")
+        (d / "sub").mkdir()
+        (d / "sub" / "0.txt").write_text("never read")
+        f = tmp_path / "corpus.txt"
+        f.write_text("ten comes first\n%%\nTwo comes\nsecond\n%%\n")
+        docs = load_corpus(d)
+        assert [doc.tokens for doc in docs] == [("ten", "comes", "first"),
+                                                ("two", "comes", "second"), ()]
+        assert docs == load_corpus(f)
+        assert build_index(docs).corpus_digest == build_index(load_corpus(f)).corpus_digest
 
 
 class TestIndexBuild:
@@ -82,6 +115,29 @@ class TestVectors:
         r2 = runner.invoke(cli, ["vectors", str(pairs), "--index", str(built_index),
                                  "--cache", str(cache)])
         assert "0 computed, 2 reused" in r2.output
+
+    def test_unchanged_cache_is_not_rewritten(self, runner, built_index, tmp_path):
+        pairs = tmp_path / "pairs.tsv"
+        pairs.write_text("traffic\tstreet\n")
+        cache = tmp_path / "cache.tsv"
+        args = ["vectors", str(pairs), "--index", str(built_index), "--cache", str(cache)]
+        assert runner.invoke(cli, args).exit_code == 0
+        before = cache.stat()
+        r = runner.invoke(cli, args)
+        assert r.exit_code == 0, r.output
+        assert "0 computed, 1 reused" in r.output
+        after = cache.stat()
+        assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+
+    def test_empty_pairs_file_writes_an_empty_cache(self, runner, built_index, tmp_path):
+        pairs = tmp_path / "pairs.tsv"
+        pairs.write_text("")
+        cache = tmp_path / "cache.tsv"
+        r = runner.invoke(cli, ["vectors", str(pairs), "--index", str(built_index),
+                                "--cache", str(cache)])
+        assert r.exit_code == 0, r.output
+        assert "0 computed, 0 reused" in r.output
+        assert load_cache(cache).entries == {}
 
     def test_round_trip_bit_identical(self, built_index, tmp_path):
         from relsim.index import load_index
