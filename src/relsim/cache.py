@@ -8,6 +8,7 @@ different configuration.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -32,17 +33,12 @@ class VectorCache:
     def __contains__(self, pair: WordPair) -> bool:
         return pair.key() in self.entries
 
-    def put(self, pair: WordPair, raw: Sequence[int] | str) -> None:
-        """Store VECTOR_LEN counts, or a cache row's count text, checked by
-        the count rule (hit_counts). Rows stay tuples: a RelationVector per
-        row would hold its log array too."""
-        counts = hit_counts(raw)
-        if len(counts) != VECTOR_LEN:
-            raise ValueError(f"expected {VECTOR_LEN} counts, got {len(counts)}")
-        self.entries[pair.key()] = counts
+    def put(self, pair: WordPair, raw: Sequence[int]) -> None:
+        """Store VECTOR_LEN counts (hit_counts' rule) as a tuple, lighter than a RelationVector."""
+        self.entries[pair.key()] = _full_row(hit_counts(raw))
 
     def vector(self, pair: WordPair) -> RelationVector:
-        """The stored row as a vector; put checked it already."""
+        """The stored row as a vector; put or load_cache checked it already."""
         return RelationVector.from_counts(pair, self.entries[pair.key()])
 
     def save(self, path: str | Path) -> None:
@@ -56,6 +52,22 @@ class VectorCache:
             lines.append(key + "\t" + "\t".join(str(c) for c in self.entries[key]))
         with atomic_write(path) as f:
             f.write(("\n".join(lines) + "\n").encode("utf-8"))
+
+
+def _row_counts(text: str) -> tuple[int, ...]:
+    """The counts of a row as save writes them: ASCII digits without a leading zero."""
+    try:  # JSON integers have no leading zero; one json.loads beats int() per field
+        if text.isascii() and text.replace("\t", "").isdigit():
+            return tuple(json.loads("[" + text.replace("\t", ",") + "]"))
+    except ValueError:
+        pass
+    raise ValueError("hit counts must be ASCII digits without leading zeros")
+
+
+def _full_row(counts: tuple[int, ...]) -> tuple[int, ...]:
+    if len(counts) != VECTOR_LEN:
+        raise ValueError(f"expected {VECTOR_LEN} counts, got {len(counts)}")
+    return counts
 
 
 def load_cache(path: str | Path, corpus_digest: str | None = None,
@@ -81,10 +93,8 @@ def load_cache(path: str | Path, corpus_digest: str | None = None,
         header[k] = v
     for field_name, expected in (("corpus", corpus_digest), ("terms", terms_checksum),
                                  ("mode", None if mode is None else mode.value)):
-        if expected is None:
-            continue
         found = header.get(field_name, "<missing>")
-        if found != expected:
+        if expected is not None and found != expected:
             raise CacheProvenanceError(
                 f"{path}: {field_name} provenance mismatch: cache has {found}, "
                 f"active configuration has {expected}")
@@ -96,11 +106,11 @@ def load_cache(path: str | Path, corpus_digest: str | None = None,
     for lineno, line in enumerate(lines[body_start:], body_start + 1):
         if not line.strip():
             continue
-        key, _, counts = line.partition("\t")
+        key, _, text = line.partition("\t")
         try:
-            if key in cache.entries:
+            if WordPair.from_key(key) in cache:  # from_key checks the key first
                 raise ValueError(f"repeated key {key!r}")
-            cache.put(WordPair.from_key(key), counts)
+            cache.entries[key] = _full_row(_row_counts(text))
         except ValueError as e:
             raise DataFormatError(f"{path}:{lineno}: {e}") from e
     return cache

@@ -140,8 +140,8 @@ def _sweep_grid(ctx, param, spec):
         lo, hi, step = (float(x) for x in spec.split(":"))
         return sweep.grid_thresholds(lo, hi, step)
     except ValueError:
-        raise click.BadParameter(f"bad sweep spec {spec!r}, expected LO:HI:STEP with "
-                                 "finite LO <= HI and STEP > 0") from None
+        raise click.BadParameter(f"bad sweep spec {spec!r}, expected LO:HI:STEP, finite LO <= HI, "
+                                 f"STEP > 0 and at most {sweep.MAX_GRID_POINTS} points") from None
 
 
 def _finite(ctx, param, value):

@@ -16,10 +16,10 @@ Row = TypeVar("Row")
 
 
 def read_utf8(path: str | Path) -> str:
-    """The text of a UTF-8 file; other bytes raise DataFormatError naming it."""
+    """A UTF-8 file's text less a leading byte-order mark; other bytes raise DataFormatError."""
     path = Path(path)
-    try:
-        return path.read_text(encoding="utf-8")
+    try:  # not utf-8-sig, whose error offsets would not count the mark's bytes
+        return path.read_text(encoding="utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as e:
         raise DataFormatError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") \
             from None

@@ -26,18 +26,19 @@ CSV_HEADER = "threshold,precision,recall,f,guesses,skipped,doubles"
 
 SAT_GRID = (-0.11, 0.11, 0.01)
 NOUNMOD_GRID = (-0.03, 0.03, 0.01)
+MAX_GRID_POINTS = 10 ** 6  # far above the paper's grids of 23 and 7 points
 
 
 def grid_thresholds(lo: float, hi: float, step: float) -> list[float]:
     """lo, lo + step, ... up to hi (never past it), each rounded to 10 places."""
-    if not all(math.isfinite(x) for x in (lo, hi, step)):
-        raise ValueError("grid bounds and step must be finite")
-    if step <= 0 or lo > hi:
-        raise ValueError("a grid needs lo <= hi and step > 0")
+    if not (all(math.isfinite(x) for x in (lo, hi, step)) and step > 0 and lo <= hi):
+        raise ValueError("a grid needs finite lo <= hi and step > 0")
     # The tolerance keeps hi itself when (hi - lo) / step lands just below
-    # a whole number, as 0.22 / 0.01 does.
-    n = math.floor((hi - lo) / step + 1e-9)
-    return [round(lo + i * step, 10) for i in range(n + 1)]
+    # a whole number, as 0.22 / 0.01 does. The quotient may be infinite.
+    spans = (hi - lo) / step + 1e-9
+    if not spans < MAX_GRID_POINTS:
+        raise ValueError(f"a grid has at most {MAX_GRID_POINTS} points")
+    return [round(lo + i * step, 10) for i in range(math.floor(spans) + 1)]
 
 
 def sat_sweep(questions: Sequence[AnalogyQuestion],

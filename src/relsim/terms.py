@@ -27,7 +27,7 @@ def _parse(text: str, source: str) -> tuple[str, ...]:
     terms = tuple(line.strip() for line in lines)
     if len(terms) != TERM_COUNT:
         raise DataFormatError(
-            f"joining-term table must have exactly {TERM_COUNT} entries, got {len(terms)}"
+            f"{source}: joining-term table must have exactly {TERM_COUNT} entries, got {len(terms)}"
         )
     for lineno, term in enumerate(terms, 1):
         try:

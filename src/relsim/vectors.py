@@ -18,7 +18,6 @@ count it returns must be a non-negative whole number (hit_counts).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
@@ -111,24 +110,14 @@ def generate_queries(pair: WordPair, terms: Sequence[str]) -> list[str]:
     return queries
 
 
-def hit_counts(raw: Sequence | str) -> tuple[int, ...]:
+def hit_counts(raw: Sequence) -> tuple[int, ...]:
     """The count rule of RelationVector.from_raw and VectorCache.put: each
-    count is a whole number, not negative, kept as an int. A value must
-    equal its int(), so 2.0 and True pass as 2 and 1, while 2.7, NaN and
-    infinity raise ValueError. `raw` may also be the tab-separated count
-    text of a cache row, whose fields hold ASCII digits only, without a
-    leading zero ("2" and "0", not "2.0", "+2", " 2", "2_0", "-0" or "02")."""
-    if isinstance(raw, str):
-        try:  # JSON integers have no leading zero; one json.loads beats int() per field
-            if raw.isascii() and raw.replace("\t", "").isdigit():
-                return tuple(json.loads("[" + raw.replace("\t", ",") + "]"))
-        except ValueError:
-            pass
-        raise ValueError("hit counts must be ASCII digits without leading zeros")
+    count is a whole number, not negative, kept as an int. A value must equal
+    its int(), so 2.0 and True pass as 2 and 1; 2.7, NaN, inf and "3" raise ValueError."""
     try:
         counts = tuple(map(int, raw))
         whole = counts == tuple(raw)
-    except OverflowError:  # int() of an infinity
+    except (OverflowError, ValueError):  # int() of an infinity, NaN or non-digit text
         whole = False
     if not whole:
         raise ValueError("hit counts must be whole numbers")

@@ -278,6 +278,12 @@ class TestSweep:
         assert grid_thresholds(*SAT_GRID) == [round(-0.11 + i / 100, 2) for i in range(23)]
         assert grid_thresholds(*NOUNMOD_GRID) == [-0.03, -0.02, -0.01, 0.0, 0.01, 0.02, 0.03]
 
+    def test_grid_has_at_most_a_million_points(self):
+        assert len(grid_thresholds(0, 1, 1 / 999_999)) == 10 ** 6
+        for lo, hi, step in ((0, 1, 1e-6), (0, 1e308, 1e-308), (-1e308, 1e308, 1)):
+            with pytest.raises(ValueError, match="at most 1000000 points"):
+                grid_thresholds(lo, hi, step)
+
     @pytest.mark.parametrize("lo, hi, step, expected", [
         (0, 0.1, 0.06, [0.0, 0.06]), (0, 0.1, 0.04, [0.0, 0.04, 0.08]),
         (0, 0.1, 0.05, [0.0, 0.05, 0.1]), (0.3, 0.3, 0.1, [0.3]), (0, 0.1, 0.3, [0.0])])

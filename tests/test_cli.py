@@ -1,13 +1,14 @@
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from relsim.cache import VectorCache, load_cache
 from relsim.cli import cli, main
 from relsim.errors import CacheProvenanceError, DataFormatError
-from relsim.index import CountMode, build_index, load_corpus
+from relsim.index import _FILE_ARRAYS, INDEX_MAGIC, CountMode, build_index, load_corpus
 from relsim.terms import default_joining_terms, load_joining_terms, terms_checksum
 from relsim.vectors import WordPair
 
@@ -168,6 +169,20 @@ class TestVectors:
         with pytest.raises(DataFormatError, match="unknown count mode 'tokens'"):
             load_cache(p)
 
+    def test_byte_order_mark_is_not_part_of_the_first_field(self, capsys, built_index,
+                                                           tmp_path):
+        pairs = tmp_path / "pairs.tsv"
+        pairs.write_text("mason\tstone\n")
+        marked = tmp_path / "marked.tsv"
+        marked.write_bytes(b"\xef\xbb\xbf" + pairs.read_bytes())
+        cache = tmp_path / "cache.tsv"
+        for path, counts in ((pairs, "1 computed, 0 reused"), (marked, "0 computed, 1 reused")):
+            code, out, err = run_main(capsys, "vectors", str(path), "--index", str(built_index),
+                                      "--cache", str(cache))
+            assert code == 0, err
+            assert counts in out
+        assert list(load_cache(cache).entries) == ["mason:stone"]
+
     def test_dedup_across_formats(self, runner, built_index, tmp_path):
         q = tmp_path / "q.tsv"
         q.write_text("traffic:street\twater:riverbed\tmason:stone\ta\n"
@@ -309,7 +324,8 @@ def nm_files(runner, built_index, tmp_path):
 
 class TestInputErrors:
     @pytest.mark.parametrize("spec", ["0:0.1:0", "0:0.1:-0.01", "0.1:0:0.01",
-                                      "nan:0.1:0.01", "0:inf:0.01", "0:0.1"])
+                                      "nan:0.1:0.01", "0:inf:0.01", "0:0.1",
+                                      "0:1e308:1e-308", "-1e308:1e308:1"])
     def test_bad_sweep_spec_exits_one(self, capsys, sat_setup, nm_files, spec):
         q, cache = sat_setup
         data, nm_cache = nm_files
@@ -545,6 +561,60 @@ class TestInputErrors:
         code, out, _ = run_main(capsys, *args, "--mode", first)
         assert code == 0 and "0 computed, 1 reused" in out
 
+    @pytest.mark.parametrize("count", [63, 65])
+    def test_joining_term_table_of_another_size_exits_one(self, capsys, built_index,
+                                                          tmp_path, count):
+        terms = tmp_path / "terms.txt"
+        terms.write_text("\n".join([""] + ["of"] * (count - 1)) + "\n")
+        pairs = tmp_path / "pairs.tsv"
+        pairs.write_text("mason\tstone\n")
+        cache = tmp_path / "cache.tsv"
+        code, _, err = run_main(capsys, "vectors", str(pairs), "--index", str(built_index),
+                                "--cache", str(cache), "--terms", str(terms))
+        assert code == 1, err
+        assert f"{terms}: joining-term table must have exactly 64 entries, got {count}" in err
+        assert not cache.exists()
+
+    @pytest.mark.parametrize("reader", ["questions", "labelled"])
+    def test_short_row_exits_one_naming_its_line(self, capsys, sat_setup, nm_files, reader):
+        q, cache = sat_setup
+        data, nm_cache = nm_files
+        path, line, message = {
+            "questions": (q, "traffic:street\twater:riverbed\ta",
+                          "expected stem, choices, answer"),
+            "labelled": (data, "water\triverbed", "expected modifier, head, class")}[reader]
+        lineno = len(path.read_text().splitlines()) + 1
+        with path.open("a") as f:
+            f.write(line + "\n")
+        command = ["nounmod", "eval", str(data), "--cache", str(nm_cache)] \
+            if reader == "labelled" else ["sat", "solve", str(q), "--cache", str(cache)]
+        code, out, err = run_main(capsys, *command)
+        assert code == 1 and out == ""
+        assert f"{path}:{lineno}: {message}" in err
+
+    @pytest.mark.parametrize("fault", ["past-the-text", "descending"])
+    def test_index_whose_vocabulary_ends_miss_its_text_exits_one(self, capsys, built_index,
+                                                                 tmp_path, fault):
+        with built_index.open("rb") as f:
+            assert f.read(len(INDEX_MAGIC)) == INDEX_MAGIC
+            arrays = {name: np.lib.format.read_array(f) for name, _ in _FILE_ARRAYS}
+        ends = arrays["vocab_ends"]
+        if fault == "past-the-text":
+            ends[-1] += 1
+        else:
+            ends[0] = ends[1] + 1
+        bad = tmp_path / "bad.idx"
+        with bad.open("wb") as f:
+            f.write(INDEX_MAGIC)
+            for name, _ in _FILE_ARRAYS:
+                np.lib.format.write_array(f, arrays[name])
+        pairs = tmp_path / "pairs.tsv"
+        pairs.write_text("mason\tstone\n")
+        code, _, err = run_main(capsys, "vectors", str(pairs), "--index", str(bad),
+                                "--cache", str(tmp_path / "cache.tsv"))
+        assert code == 1, err
+        assert f"{bad}: vocabulary ends do not cut the vocabulary text" in err
+
     @pytest.mark.parametrize("term, shown", [("ab*", "'ab*'"), ("a**b", "'a**b'"),
                                              ("--", "'--'")])
     def test_bad_joining_term_exits_one(self, capsys, built_index, tmp_path, term, shown):
@@ -639,6 +709,23 @@ class TestCacheRows:
         code, _, err = run_main(capsys, "sat", "solve", str(q), "--cache", str(cache))
         assert code == 1, err
         assert f"{cache}:{lineno}: " in err and "internal error" not in err
+
+    def test_cache_without_its_magic_line_exits_one(self, capsys, sat_setup):
+        q, cache = sat_setup
+        cache.write_text(cache.read_text().partition("\n")[2])
+        code, out, err = run_main(capsys, "sat", "solve", str(q), "--cache", str(cache))
+        assert code == 1 and out == ""
+        assert f"{cache} is not a relsim vector cache" in err
+
+    def test_blank_line_in_the_body_is_skipped(self, capsys, sat_setup):
+        q, cache = sat_setup
+        args = ("sat", "solve", str(q), "--cache", str(cache))
+        code, out, err = run_main(capsys, *args)
+        assert code == 0, err
+        lines = cache.read_text().splitlines()
+        assert len(lines) == 6  # the magic, corpus and terms lines, then three rows
+        cache.write_text("\n".join(lines[:4] + ["", " \t "] + lines[4:]) + "\n")
+        assert run_main(capsys, *args) == (0, out, "")
 
     def test_repeated_key_is_an_input_error(self, capsys, sat_setup):
         q, cache = sat_setup

@@ -1,10 +1,13 @@
+import codecs
+
 import numpy as np
 import pytest
 
 from relsim import fileio
 from relsim.cache import VectorCache, load_cache
-from relsim.fileio import atomic_write
-from relsim.index import Document, build_index, load_index, save_index
+from relsim.errors import DataFormatError
+from relsim.fileio import atomic_write, read_utf8
+from relsim.index import Document, build_index, load_corpus, load_index, save_index
 from relsim.vectors import WordPair
 
 
@@ -66,3 +69,19 @@ def test_index_save_interrupted_keeps_old_index(tmp_path, monkeypatch):
         save_index(build_index([Document(0, ("new", "corpus", "text"))]), path)
     assert load_index(path).corpus_digest == old.corpus_digest
     assert [p.name for p in tmp_path.iterdir()] == ["corpus.idx"]
+
+
+def test_byte_order_mark_is_dropped(tmp_path):
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    plain.write_text("mason\tstone\n%%\nstone wall\n", encoding="utf-8")
+    marked.write_bytes(codecs.BOM_UTF8 + plain.read_bytes())
+    assert read_utf8(marked) == read_utf8(plain) == plain.read_text(encoding="utf-8")
+    assert build_index(load_corpus(marked)).corpus_digest \
+        == build_index(load_corpus(plain)).corpus_digest
+
+
+def test_bad_byte_offset_counts_the_byte_order_mark(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(codecs.BOM_UTF8 + b"ab\xff")
+    with pytest.raises(DataFormatError, match=r"not UTF-8 text \(invalid start byte at byte 5\)$"):
+        read_utf8(path)

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import string
 import tempfile
 from pathlib import Path
@@ -171,8 +172,8 @@ class TestWordPair:
         assert loaded.entries[pair.key()] == tuple(counts)
 
     def test_vector_equals_from_raw_on_every_row(self):
-        """vector() skips the count rule that put already applied, and
-        gives what from_raw gives on the row."""
+        """vector() skips the count rule that load_cache (or put) already
+        applied, and gives what from_raw gives on the row."""
         cache = load_cache(Path(__file__).parent / "golden" / "expected" / "vector_cache.txt")
         assert len(cache.entries) > 20
         for key, row in cache.entries.items():
@@ -279,8 +280,18 @@ class TestBuildVector:
 
 class TestCountRule:
     """A hit count is a whole number, not negative. A value must equal its
-    int(), so 2.0 and True pass as 2 and 1; a cache row's count text must be
-    whole-number text in ASCII digits, without a leading zero."""
+    int(), so 2.0 and True pass as 2 and 1. Text is not a count: only
+    load_cache reads a cache row's count text, which must be ASCII digits
+    without a leading zero."""
+
+    @staticmethod
+    def write_row(tmp_path, fields):
+        """A saved cache with the row "a:b<TAB>fields" appended as line 4."""
+        path = tmp_path / "cache.tsv"
+        VectorCache("d", "t").save(path)
+        with path.open("a", encoding="utf-8") as f:
+            f.write("\t".join(["a:b", *fields]) + "\n")
+        return path
 
     @pytest.mark.parametrize("raw", [[1.5, 2.9, True], [2.7], [1, float("nan")],
                                      [float("inf")], [-1], [np.float64(0.5)]],
@@ -300,15 +311,25 @@ class TestCountRule:
 
     @pytest.mark.parametrize("text", ["2.0", "1.5", "1e3", "True", "", "+5", " 5", "5_0",
                                       "\u0665", "-0", "\u00b2", "05", "00", "007"])
-    def test_count_text_must_be_whole_number_text(self, text):
+    def test_count_text_must_be_whole_number_text(self, tmp_path, text):
         for fields in ([text] + ["1"] * 127, ["1"] * 127 + [text]):
-            with pytest.raises(ValueError):
-                VectorCache("d", "t").put(WordPair("a", "b"), "\t".join(fields))
+            path = self.write_row(tmp_path, fields)
+            with pytest.raises(DataFormatError, match=f"^{re.escape(str(path))}:4: hit counts "
+                               "must be ASCII digits without leading zeros$"):
+                load_cache(path)
 
-    def test_count_text_is_read_as_ints(self):
-        cache = VectorCache("d", "t")
-        cache.put(WordPair("a", "b"), "\t".join(map(str, range(128))))
+    def test_count_text_is_read_as_ints(self, tmp_path):
+        cache = load_cache(self.write_row(tmp_path, map(str, range(128))))
         assert cache.entries["a:b"] == tuple(range(128))
+        assert all(type(c) is int for c in cache.entries["a:b"])
+
+    def test_text_is_not_counts(self):
+        pair = WordPair("a", "b")
+        for text in ("3\t0\t7", "307"):
+            with pytest.raises(ValueError, match="whole numbers"):
+                RelationVector.from_raw(pair, text)
+        with pytest.raises(ValueError, match="whole numbers"):
+            VectorCache("d", "t").put(pair, "\t".join(["1"] * 128))
 
     @pytest.mark.parametrize("count", [2.7, -1, "3"])
     def test_bad_provider_count_names_its_phrase(self, count):
