@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import DataFormatError
 from .fileio import read_rows
-from .similarity import TopTwo, cosines_to, margin_rule, nearest_two, top_two
+from .similarity import TopTwo, cosines, margin_rule, nearest_two, top_two
 from .vectors import RelationVector, WordPair
 
 CHOICE_LETTERS = "abcdefghijklmnopqrstuvwxyz"
@@ -62,9 +62,12 @@ def score_questions(questions: Sequence[AnalogyQuestion],
     """Each question's best and second-best choice and their margin, or
     None when its stem vector is all zeros; outcomes_at applies a
     threshold afterwards."""
-    tops = nearest_two((cosines_to(vectors[q.stem.key()],
-                                   [vectors[c.key()] for c in q.choices])
-                        for q in questions), seed, tie_break)
+    table = np.full((len(questions), max((len(q.choices) for q in questions), default=0)),
+                    -np.inf)
+    for row, q in zip(table, questions):
+        row[:len(q.choices)] = cosines(vectors[q.stem.key()].r,
+                                       [vectors[c.key()].r for c in q.choices])
+    tops = nearest_two(table, seed, tie_break)
     return [None if vectors[q.stem.key()].is_zero() else top
             for q, top in zip(questions, tops)]
 
@@ -147,7 +150,7 @@ def rank_pool(stem_vec: RelationVector,
     ascending pool index."""
     if not pool:
         raise ValueError("pool must be non-empty")
-    return np.argsort(-cosines_to(stem_vec, pool), kind="stable").tolist()
+    return np.argsort(-cosines(stem_vec.r, [v.r for v in pool]), kind="stable").tolist()
 
 
 def rank_of(ranking: Sequence[int], target: int) -> int:

@@ -83,14 +83,17 @@ def load_cache(path: str | Path, corpus_digest: str | None = None,
     lines = read_utf8(path).splitlines()
     if not lines or lines[0] != _MAGIC:
         raise DataFormatError(f"{path} is not a relsim vector cache")
-    header = {"mode": CountMode.DOCUMENT_HITS.value}
+    header = {}
     body_start = 1
     for line in lines[1:]:
         if not line.startswith("# ") or "\t" in line:  # a pair key may start with "# "
             break
         body_start += 1
         k, _, v = line[2:].partition(": ")
+        if k not in ("corpus", "terms", "mode") or k in header:
+            raise DataFormatError(f"{path}:{body_start}: unknown or repeated header line {line!r}")
         header[k] = v
+    header.setdefault("mode", CountMode.DOCUMENT_HITS.value)
     for field_name, expected in (("corpus", corpus_digest), ("terms", terms_checksum),
                                  ("mode", None if mode is None else mode.value)):
         found = header.get(field_name, "<missing>")

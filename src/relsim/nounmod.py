@@ -12,10 +12,12 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
+
 from .analogy import f_measure
 from .errors import DataFormatError
 from .fileio import read_rows
-from .similarity import leave_one_out, margin_rule, nearest_two
+from .similarity import cosines, margin_rule, nearest_two
 from .vectors import RelationVector, WordPair
 
 # (class name, abbreviation, example phrase, group)
@@ -56,6 +58,7 @@ GROUPS = ("causality", "participant", "quality", "spatial", "temporality")
 
 _GROUP_OF = {abbr: group for _, abbr, _, group in RELATION_CLASSES}
 ALL_ABBREVIATIONS = tuple(abbr for _, abbr, _, _ in RELATION_CLASSES)
+LOOCV_BLOCK = 64  # probes scored at once: LOOCV memory is this many cosines per item
 
 
 def group_of(label: str) -> str:
@@ -148,15 +151,15 @@ def loocv_thresholds(vectors: Sequence[RelationVector], labels: Sequence[str],
     else:
         raise ValueError("granularity must be 30 or 5")
 
-    # Leave-one-out positions skip the probe itself. With two items the
-    # single neighbour is its own runner-up, which makes the guess plain 1-NN.
-    neighbours = []
-    tops = nearest_two(leave_one_out(vectors), seed, tie_break)
-    for i, top in enumerate(tops):
-        n1 = top.best + (top.best >= i)
-        n2 = top.second + (top.second >= i)
-        neighbours.append((labels[n1], labels[n2], top.margin))
-    return [_tally(labels, [_margin_labels(*nb, t) for nb in neighbours], classes)
+    # -inf masks each probe itself; with two items the lone neighbour is also the runner-up (1-NN).
+    rows = np.array([v.r for v in vectors])
+    tops = []
+    for lo in range(0, len(rows), LOOCV_BLOCK):
+        table = cosines(rows[lo:lo + LOOCV_BLOCK, None], rows)
+        np.fill_diagonal(table[:, lo:], -np.inf)
+        tops += nearest_two(table, seed, tie_break, start=lo)
+    return [_tally(labels, [_margin_labels(labels[top.best], labels[top.second], top.margin, t)
+                            for top in tops], classes)
             for t in thresholds]
 
 

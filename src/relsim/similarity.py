@@ -1,30 +1,26 @@
 """The similarity core shared by the analogy solver and the noun-modifier
 classifier.
 
-Relation vectors are stacked as the rows of a pair x pattern matrix. Each
-probe is scored against its candidates once, giving its best and
-second-best candidate and the margin between their cosines; a margin
-threshold is applied afterwards by the margin rule, so a sweep over
-thresholds scores every probe only once.
+A command scores its probes as one probes x positions table of cosines,
+-inf where a position is not a probe's candidate. nearest_two takes each
+row's best and second-best candidate and their margin; the margin rule
+applies a threshold afterwards, so a sweep scores every probe only once.
 
-A cosine is dot / (|a| * |b|), and 0 when either norm is 0, the formula of
-vectors.cosine. Each dot product is taken over its two rows alone
-(np.vecdot), so a cosine depends on those two rows and on nothing else in
-the matrix: it is bit-equal to vectors.cosine of the same two vectors and
-symmetric, and identical vectors tie exactly wherever they sit. Rows that
-are parallel but not equal have mathematically equal cosines that may
-still differ in the last bit.
+A cosine is dot / (|a| * |b|), and 0 when either norm is 0. Each dot
+product is taken over its two rows alone (np.vecdot), so a cosine depends
+on those two rows and on nothing else: it is bit-equal to vectors.cosine
+of the same two vectors and symmetric, and identical vectors tie exactly
+wherever they sit. Rows that are parallel but not equal have
+mathematically equal cosines that may still differ in the last bit.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
-
-from .vectors import RelationVector
 
 TIE_BREAKS = ("random", "first")
 
@@ -34,32 +30,16 @@ def question_rng(seed: int, ordinal: int) -> random.Random:
     return random.Random(seed ^ ordinal)
 
 
-class PairMatrix:
-    """The log vectors of word pairs as matrix rows."""
-
-    def __init__(self, vectors: Iterable[RelationVector]):
-        self.rows = np.ascontiguousarray([v.r for v in vectors], dtype=float)
-        norms = np.sqrt(np.vecdot(self.rows, self.rows))
-        # A zero norm is kept as inf: a zero row's dot products are 0, so its
-        # cosines come out as 0 / inf = 0 with no special case.
-        self.norms = np.where(norms == 0.0, np.inf, norms)
-
-    def cosines(self, probe: int) -> np.ndarray:
-        """Cosine of row `probe` with every row, in row order."""
-        return np.vecdot(self.rows, self.rows[probe]) / (self.norms[probe] * self.norms)
-
-
-def cosines_to(probe: RelationVector,
-               vectors: Sequence[RelationVector]) -> np.ndarray:
-    """Cosine of probe with each vector, in order."""
-    return PairMatrix([probe, *vectors]).cosines(0)[1:]
-
-
-def leave_one_out(vectors: Sequence[RelationVector]) -> Iterator[np.ndarray]:
-    """Each vector's cosines with all the others, in order."""
-    matrix = PairMatrix(vectors)
-    for i in range(len(vectors)):
-        yield np.delete(matrix.cosines(i), i)
+def cosines(a, b) -> np.ndarray:
+    """The cosine of each pair of rows of a and b, broadcast over their
+    leading axes; 0 where either row is all zeros."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    na, nb = np.sqrt(np.vecdot(a, a)), np.sqrt(np.vecdot(b, b))
+    # A zero norm is taken as inf: a zero row's dot products are 0, so its
+    # cosines come out as 0 / inf = 0. Dividing in place spares a table.
+    cos = np.vecdot(a, b)
+    cos /= np.where(na == 0.0, np.inf, na) * np.where(nb == 0.0, np.inf, nb)
+    return cos
 
 
 @dataclass(frozen=True)
@@ -92,17 +72,32 @@ def top_two(scores: Sequence[float], rng: random.Random | None = None) -> TopTwo
     return TopTwo(best, second, float(scores[best] - scores[second]))
 
 
-def nearest_two(scores: Iterable[Sequence[float]], seed: int = 0,
-                tie_break: str = "random") -> list[TopTwo]:
-    """top_two of each probe's scores against its candidates.
+def nearest_two(table, seed: int = 0, tie_break: str = "random",
+                start: int = 0) -> list[TopTwo]:
+    """top_two of each row of a probes x positions float array, over the
+    row's candidates (its positions that are not -inf, one at least).
 
-    tie_break "random" breaks probe k's exact ties with
-    question_rng(seed, k); "first" prefers the lower position.
+    Row k is probe start + k. tie_break "random" breaks its exact ties with
+    question_rng(seed, start + k), drawn only when a tie touches the best
+    two; "first" prefers the lower position, as argmax does.
     """
     if tie_break not in TIE_BREAKS:
         raise ValueError(f"tie_break must be one of {TIE_BREAKS}, got {tie_break!r}")
-    return [top_two(s, question_rng(seed, k) if tie_break == "random" else None)
-            for k, s in enumerate(scores)]
+    if not len(table):
+        return []
+    best = table.argmax(axis=1)
+    rest = np.where(np.arange(table.shape[1]) == best[:, None], -np.inf, table)
+    s1, s2 = table.max(axis=1), rest.max(axis=1)
+    lone = s2 == -np.inf  # a lone candidate is its own runner-up, at margin 0
+    second, s2 = np.where(lone, best, rest.argmax(axis=1)), np.where(lone, s1, s2)
+    tops = [TopTwo(*top) for top in zip(best.tolist(), second.tolist(), (s1 - s2).tolist())]
+    if tie_break == "random":
+        tied = ~lone & ((s1 == s2) | (np.count_nonzero(table >= s2[:, None], axis=1) > 2))
+        for k in np.flatnonzero(tied).tolist():
+            candidates = np.flatnonzero(table[k] > -np.inf)
+            top = top_two(table[k, candidates], question_rng(seed, start + k))
+            tops[k] = TopTwo(int(candidates[top.best]), int(candidates[top.second]), top.margin)
+    return tops
 
 
 def margin_rule(first, second, margin: float, threshold: float) -> tuple:

@@ -18,7 +18,6 @@ count it returns must be a non-negative whole number (hit_counts).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -28,6 +27,7 @@ from .errors import PhraseSyntaxError, ProviderError
 from .index import (MIN_WILDCARD_PREFIX, CountMode, PatternKind, PositionalIndex,
                     TokenPattern, count_hits, in_sorted, match_starts, parse_phrase,
                     parse_units, tokenize, whole_matches)
+from .similarity import cosines
 
 HitCountProvider = Callable[[str], int]
 
@@ -174,11 +174,7 @@ def cosine(v1, v2) -> float:
     b = np.asarray(v2.r if isinstance(v2, RelationVector) else v2, dtype=float)
     if a.shape != b.shape:
         raise ValueError(f"vector length mismatch: {a.shape} vs {b.shape}")
-    na = math.sqrt(float(a @ a))
-    nb = math.sqrt(float(b @ b))
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    return float(a @ b) / (na * nb)
+    return float(cosines(a, b))
 
 
 class _TermTable(NamedTuple):

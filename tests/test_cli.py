@@ -1,3 +1,4 @@
+import re
 import subprocess
 import sys
 
@@ -167,6 +168,22 @@ class TestVectors:
             assert load_cache(p, "d", "t", mode).mode is mode
         p.write_text(p.read_text().replace("occurrence", "tokens"))
         with pytest.raises(DataFormatError, match="unknown count mode 'tokens'"):
+            load_cache(p)
+
+    @pytest.mark.parametrize("mode, extra, lineno", [
+        (CountMode.DOCUMENT_HITS, "# a:b", 4),  # a row that lost its counts
+        (CountMode.DOCUMENT_HITS, "# corpus: other", 4),
+        (CountMode.DOCUMENT_HITS, "# terms: t", 4),
+        (CountMode.OCCURRENCES, "# mode: occurrence", 5),
+        (CountMode.DOCUMENT_HITS, "# comment", 4),
+        (CountMode.DOCUMENT_HITS, "# note: x", 4),
+    ])
+    def test_header_is_corpus_terms_and_mode_once_each(self, tmp_path, mode, extra, lineno):
+        p = tmp_path / "c.tsv"
+        VectorCache("d", "t", mode=mode).save(p)
+        with p.open("a", encoding="utf-8") as f:
+            f.write(extra + "\n" + "c:d\t" + "\t".join(["1"] * 128) + "\n")
+        with pytest.raises(DataFormatError, match=f"^{re.escape(str(p))}:{lineno}: "):
             load_cache(p)
 
     def test_byte_order_mark_is_not_part_of_the_first_field(self, capsys, built_index,

@@ -6,9 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relsim.analogy import AnalogyQuestion, solve_all
-from relsim.nounmod import loocv, loocv_thresholds
-from relsim.similarity import (PairMatrix, cosines_to, margin_rule,
-                               nearest_two, question_rng, top_two)
+from relsim.nounmod import LOOCV_BLOCK, loocv, loocv_thresholds
+from relsim.similarity import cosines, margin_rule, nearest_two, question_rng, top_two
 from relsim.sweep import (NOUNMOD_GRID, SAT_GRID, grid_thresholds,
                           nounmod_sweep, sat_sweep)
 from relsim.vectors import RelationVector, WordPair, cosine
@@ -66,43 +65,77 @@ class TestTopTwo:
 
 
 class TestPairMatrix:
+    """similarity.cosines over the rows of a pair x pattern matrix."""
+
     def test_identical_vectors_tie_exactly(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
             stem = vec(list(rng.integers(0, 200, 128)))
             other = vec(list(rng.integers(0, 200, 128)))
             choices = [other, stem, vec(list(stem.raw)), other, vec(list(other.raw))]
-            scores = cosines_to(stem, choices)
+            scores = cosines(stem.r, [v.r for v in choices])
             assert scores[1] == scores[2]
             assert scores[0] == scores[3] == scores[4]
 
     def test_matches_scalar_cosine(self):
         rng = np.random.default_rng(4)
         vectors = [vec(list(rng.integers(0, 30, 16))) for _ in range(12)] + [vec([0] * 16)]
-        matrix = PairMatrix(vectors)
+        rows = np.array([v.r for v in vectors])
+        table = cosines(rows[:, None], rows)
         for i, v in enumerate(vectors):
-            assert matrix.cosines(i).tolist() == [cosine(v, w) for w in vectors]
+            assert table[i].tolist() == cosines(v.r, rows).tolist() \
+                == [cosine(v, w) for w in vectors]
 
     @settings(deadline=None)
     @given(st.data())
     def test_cosine_depends_on_its_two_rows_alone(self, data):
         dim = data.draw(st.one_of(st.integers(1, 8), st.just(128)))
         row = st.lists(st.integers(0, 10**6), min_size=dim, max_size=dim)
-        rows = data.draw(st.lists(row, min_size=2, max_size=8))
-        i, j = data.draw(st.lists(st.integers(0, len(rows) - 1), min_size=2,
+        raw = data.draw(st.lists(row, min_size=2, max_size=8))
+        i, j = data.draw(st.lists(st.integers(0, len(raw) - 1), min_size=2,
                                   max_size=2, unique=True))
-        vectors = [vec(r) for r in rows]
-        got = PairMatrix(vectors).cosines(i)[j]
-        assert got == PairMatrix([vectors[i], vectors[j]]).cosines(0)[1]
-        extra = [vec(r) for r in data.draw(st.lists(row, max_size=8))]
-        superset = data.draw(st.permutations(vectors + extra))
-        pos = {id(v): k for k, v in enumerate(superset)}
-        assert got == PairMatrix(superset).cosines(pos[id(vectors[i])])[pos[id(vectors[j])]]
-        assert got == PairMatrix(vectors).cosines(j)[i]
+        rows = np.array([vec(r).r for r in raw])
+        table = cosines(rows[:, None], rows)
+        got = table[i, j]
+        assert got == cosines(rows[i], rows[j]) == cosine(rows[i], rows[j])
+        assert got == cosines(rows[[i, j], None], rows[[i, j]])[0, 1]
+        extra = [vec(r).r for r in data.draw(st.lists(row, max_size=8))]
+        order = data.draw(st.permutations(range(len(rows) + len(extra))))
+        superset = np.array([*rows, *extra])[order]
+        pi, pj = order.index(i), order.index(j)
+        assert got == cosines(superset[:, None], superset)[pi, pj]
+        assert got == cosines(superset[pi], superset)[pj]
+        assert got == table[j, i]
 
     def test_zero_norm_gives_zero(self):
-        scores = cosines_to(vec([0, 0, 0]), [vec([1, 2, 3]), vec([0, 0, 0])])
+        scores = cosines(vec([0, 0, 0]).r, [vec([1, 2, 3]).r, vec([0, 0, 0]).r])
         assert scores.tolist() == [0.0, 0.0]
+
+
+class TestNearestTwo:
+    @settings(deadline=None)
+    @given(st.data(), st.integers(0, 50), st.integers(0, 100),
+           st.sampled_from(["random", "first"]))
+    def test_each_row_matches_full_ranking_of_its_candidates(self, data, seed, start,
+                                                             tie_break):
+        """Rows hold -inf cells (not candidates) and repeated scores; one
+        row is a lone candidate and one an all-tie row."""
+        width = data.draw(st.integers(1, 8))
+        cell = st.one_of(st.just(-np.inf), st.sampled_from([0.0, 0.25, 0.5, 1.0]))
+        row = st.lists(cell, min_size=width, max_size=width).filter(
+            lambda r: max(r) > -np.inf)
+        rows = data.draw(st.lists(row, max_size=6))
+        rows += [[-np.inf] * (width - 1) + [0.5], [0.25] * width]
+        rows = data.draw(st.permutations(rows))
+        tops = nearest_two(np.array(rows), seed, tie_break, start=start)
+        assert len(tops) == len(rows)
+        for k, (r, top) in enumerate(zip(rows, tops)):
+            candidates = [j for j, s in enumerate(r) if s > -np.inf]
+            scores = [r[j] for j in candidates]
+            rng = question_rng(seed, start + k) if tie_break == "random" else None
+            order = oracle_ranked(scores, rng) * 2  # a lone candidate is its own runner-up
+            assert (top.best, top.second) == (candidates[order[0]], candidates[order[1]])
+            assert top.margin == scores[order[0]] - scores[order[1]]
 
 
 def test_margin_rule_branches():
@@ -195,6 +228,68 @@ class TestSolveOracle:
         for t in grid_thresholds(*SAT_GRID):
             got = [o.guesses for o in solve_all(questions, vectors, t, seed, tie_break)]
             assert got == reference_solve(questions, vectors, t, seed, tie_break)
+
+
+def loop_top_two(probe, candidates, rng):
+    """top_two over vectors.cosine of one probe with each candidate."""
+    return top_two([cosine(probe, c) for c in candidates], rng)
+
+
+class TestScoreTables:
+    """The score tables against a per-probe loop of top_two over
+    vectors.cosine rows, under the random tie rule."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_questions_with_2_5_and_7_choices(self, seed):
+        rng = np.random.default_rng(seed)
+        questions, vectors = [], {}
+        for k in range(60):
+            stem = WordPair(f"s{k}", f"t{k}")
+            choices = tuple(WordPair(f"c{k}_{j}", f"d{k}_{j}") for j in range((2, 5, 7)[k % 3]))
+            questions.append(AnalogyQuestion(stem, choices, k % 2))
+            for pair in (stem, *choices):  # a few small rows, so scores tie often
+                vectors[pair.key()] = vec(rng.integers(0, 2, 3))
+        grid = grid_thresholds(*SAT_GRID)
+        expected = {t: [] for t in grid}
+        for k, q in enumerate(questions):
+            stem = vectors[q.stem.key()]
+            top = loop_top_two(stem, [vectors[c.key()] for c in q.choices],
+                               question_rng(seed, k))
+            for t in grid:
+                expected[t].append(() if stem.is_zero() else
+                                   margin_rule(top.best, top.second, top.margin, t))
+        rows = sat_sweep(questions, vectors, grid, seed)
+        for t, row in zip(grid, rows):
+            got = [o.guesses for o in solve_all(questions, vectors, t, seed)]
+            assert got == expected[t]
+            assert (row.guesses, row.skipped, row.doubles) == (
+                sum(map(len, got)), got.count(()), sum(len(g) == 2 for g in got))
+            assert row.recall == sum(q.answer in g for q, g in zip(questions, got)) / 60
+        assert solve_all([], {}, 0.0, seed) == [] and sat_sweep([], {}, grid, seed)[0].guesses == 0
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_loocv_over_several_blocks(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 2 * LOOCV_BLOCK + 20
+        raw = rng.integers(0, 3, (n, 3))
+        for edge in (LOOCV_BLOCK, 2 * LOOCV_BLOCK):  # the same row on both sides of an edge
+            raw[edge] = raw[edge - 1]
+        vectors = [vec(r) for r in raw]
+        labels = [["ag", "cs", "meas"][i] for i in rng.integers(0, 3, n)]
+        grid = grid_thresholds(*NOUNMOD_GRID)
+        expected = {t: {} for t in grid}
+        for i, v in enumerate(vectors):
+            others = [j for j in range(n) if j != i]
+            top = loop_top_two(v, [vectors[j] for j in others], question_rng(seed, i))
+            first, second = labels[others[top.best]], labels[others[top.second]]
+            for t in grid:
+                guesses = (first,) if first == second else \
+                    margin_rule(first, second, top.margin, t)
+                for g in guesses or (None,):
+                    key = (labels[i], g)
+                    expected[t][key] = expected[t].get(key, 0) + 1
+        results = loocv_thresholds(vectors, labels, grid, 30, seed, "random")
+        assert [r.confusion for r in results] == [expected[t] for t in grid]
 
 
 class TestTieBreakValidation:
