@@ -10,19 +10,22 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterator, TypeVar
 
-from .errors import DataFormatError
+from .errors import DataFormatError, InputError
 
 Row = TypeVar("Row")
 
 
 def read_utf8(path: str | Path) -> str:
-    """A UTF-8 file's text less a leading byte-order mark; other bytes raise DataFormatError."""
+    """A UTF-8 file's text less a leading byte-order mark; other bytes or an
+    unreadable path raise DataFormatError."""
     path = Path(path)
     try:  # not utf-8-sig, whose error offsets would not count the mark's bytes
         return path.read_text(encoding="utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as e:
         raise DataFormatError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") \
             from None
+    except OSError as e:
+        raise DataFormatError(f"{path}: cannot read ({e.strerror})") from None
 
 
 def read_rows(path: str | Path, parse_row: Callable[[list[str]], Row]) -> list[Row]:
@@ -50,16 +53,24 @@ def atomic_write(path: str | Path) -> Iterator[BinaryIO]:
     The data goes to a temporary file in the same directory, is flushed to
     disk, and is renamed over `path` with `os.replace`. If the block raises
     (or is interrupted), the temporary file is removed and `path` keeps its
-    old contents, so a reader never sees a truncated file.
+    old contents, so a reader never sees a truncated file. A `path` that cannot
+    be created or replaced raises InputError; an error in writing is raised as is.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex[:12]}.tmp")
     try:
-        with tmp.open("xb") as f:
+        f = tmp.open("xb")
+    except OSError as e:
+        raise InputError(f"{path}: cannot write ({e.strerror})") from None
+    try:
+        with f:
             yield f
             f.flush()
             os.fsync(f.fileno())
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as e:
+            raise InputError(f"{path}: cannot write ({e.strerror})") from None
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise

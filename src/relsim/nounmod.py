@@ -17,7 +17,7 @@ import numpy as np
 from .analogy import f_measure
 from .errors import DataFormatError
 from .fileio import read_rows
-from .similarity import cosines, margin_rule, nearest_two
+from .similarity import cosines, guess_count, nearest_two
 from .vectors import RelationVector, WordPair
 
 # (class name, abbreviation, example phrase, group)
@@ -101,16 +101,6 @@ def load_labeled_pairs(path: str | Path) -> list[LabeledNounModifier]:
 # ---------------------------------------------------------------------------
 # Classification
 
-def _margin_labels(first: str, second: str, margin: float,
-                   threshold: float) -> tuple[str, ...]:
-    """The two-neighbour guess set: a class shared by both nearest
-    neighbours is guessed whatever the threshold; otherwise the margin
-    rule applies to their cosines."""
-    if first == second:
-        return (first,)
-    return margin_rule(first, second, margin, threshold)
-
-
 @dataclass
 class ClassMetrics:
     label: str
@@ -158,8 +148,14 @@ def loocv_thresholds(vectors: Sequence[RelationVector], labels: Sequence[str],
         table = cosines(rows[lo:lo + LOOCV_BLOCK, None], rows)
         np.fill_diagonal(table[:, lo:], -np.inf)
         tops += nearest_two(table, seed, tie_break, start=lo)
-    return [_tally(labels, [_margin_labels(labels[top.best], labels[top.second], top.margin, t)
-                            for top in tops], classes)
+        del table  # so that cosines builds the next block's table without this one alive
+    number = {c: k for k, c in enumerate(classes)}
+    true = np.array([number[lab] for lab in labels])
+    first, second = true[[top.best for top in tops]], true[[top.second for top in tops]]
+    margins = np.array([top.margin for top in tops])
+    # A class shared by both nearest neighbours is guessed whatever the threshold.
+    return [_tally(true, first, second, np.where(first == second, 1, guess_count(margins, t)),
+                   classes)
             for t in thresholds]
 
 
@@ -177,32 +173,29 @@ def loocv(vectors: Sequence[RelationVector], labels: Sequence[str],
                             tie_break)[0]
 
 
-def _tally(labels: Sequence[str], guess_sets: Sequence[tuple[str, ...]],
+def _tally(true: np.ndarray, first: np.ndarray, second: np.ndarray, count: np.ndarray,
            classes: Sequence[str]) -> LoocvResult:
-    tp = {c: 0 for c in classes}
-    fp = {c: 0 for c in classes}
-    fn = {c: 0 for c in classes}
-    size = {c: 0 for c in classes}
-    confusion: dict[tuple[str, str | None], int] = {}
-    for true, guesses in zip(labels, guess_sets):
-        size[true] += 1
-        fn[true] += true not in guesses
-        for g in guesses:
-            (tp if g == true else fp)[g] += 1
-        for g in guesses or (None,):  # None: the item abstained
-            confusion[(true, g)] = confusion.get((true, g), 0) + 1
-
+    """Score item i, of class number true[i], guessing the first count[i]
+    of (first[i], second[i]); a count of 2 needs first[i] != second[i]."""
+    n = len(classes)
+    # One (true, guessed) cell per guess; guessed n stands for an abstention.
+    owner = np.concatenate([true, true[count == 2]])
+    guessed = np.concatenate([np.where(count == 0, n, first), second[count == 2]])
+    cells = np.bincount(owner * (n + 1) + guessed, minlength=n * (n + 1)).reshape(n, n + 1)
+    tp = cells.diagonal()
+    fp, fn = cells[:, :n].sum(axis=0) - tp, np.bincount(true, minlength=n) - tp
+    names = (*classes, None)
+    confusion = {(names[t], names[g]): k
+                 for (t, g), k in zip(np.argwhere(cells).tolist(), cells[cells > 0].tolist())}
     per_class = []
-    for c in classes:
-        p = tp[c] / (tp[c] + fp[c]) if tp[c] + fp[c] else 0.0
-        r = tp[c] / (tp[c] + fn[c]) if tp[c] + fn[c] else 0.0
-        per_class.append(ClassMetrics(c, size[c], tp[c], fp[c], fn[c],
-                                      p, r, f_measure(p, r)))
-    return LoocvResult(per_class, confusion,
-                       guesses_made=sum(map(len, guess_sets)),
-                       abstained=sum(not g for g in guess_sets),
-                       doubles=sum(len(g) == 2 for g in guess_sets),
-                       correct=sum(tp.values()), total=len(labels))
+    for c, tp_c, fp_c, fn_c in zip(classes, tp.tolist(), fp.tolist(), fn.tolist()):
+        p = tp_c / (tp_c + fp_c) if tp_c + fp_c else 0.0
+        r = tp_c / (tp_c + fn_c) if tp_c + fn_c else 0.0
+        per_class.append(ClassMetrics(c, tp_c + fn_c, tp_c, fp_c, fn_c, p, r, f_measure(p, r)))
+    abstained, singles, doubles = np.bincount(count, minlength=3).tolist()
+    return LoocvResult(per_class, confusion, guesses_made=singles + 2 * doubles,
+                       abstained=abstained, doubles=doubles, correct=int(tp.sum()),
+                       total=len(true))
 
 
 def macroaverage(per_class: Sequence[ClassMetrics]) -> tuple[float, float, float]:

@@ -3,8 +3,9 @@ classifier.
 
 A command scores its probes as one probes x positions table of cosines,
 -inf where a position is not a probe's candidate. nearest_two takes each
-row's best and second-best candidate and their margin; the margin rule
-applies a threshold afterwards, so a sweep scores every probe only once.
+row's best and second-best candidate and their margin; guess_count applies
+a threshold afterwards, to an array of margins at once, so a sweep scores
+each probe once and counts every threshold in bulk.
 
 A cosine is dot / (|a| * |b|), and 0 when either norm is 0. Each dot
 product is taken over its two rows alone (np.vecdot), so a cosine depends
@@ -100,11 +101,12 @@ def nearest_two(table, seed: int = 0, tie_break: str = "random",
     return tops
 
 
+def guess_count(margin, threshold):
+    """The margin rule at threshold t, for one margin or an array: 0 (skip)
+    when t > margin, 2 (best and second) when t < -margin, otherwise 1."""
+    return (threshold <= margin) * (1 + (threshold < -margin))
+
+
 def margin_rule(first, second, margin: float, threshold: float) -> tuple:
-    """The guess set at a margin threshold t: skip when t > margin, guess
-    both when t < -margin, otherwise guess the first."""
-    if threshold > margin:
-        return ()
-    if threshold < -margin:
-        return (first, second)
-    return (first,)
+    """The guess set of guess_count: (), (first,) or (first, second)."""
+    return (first, second)[:guess_count(margin, threshold)]

@@ -45,26 +45,18 @@ def sat_sweep(questions: Sequence[AnalogyQuestion],
               vectors: dict[str, RelationVector],
               thresholds: Sequence[float], seed: int = 0,
               tie_break: str = "random") -> list[SweepRow]:
-    rows = []
     tops = score_questions(questions, vectors, seed, tie_break)
-    for t in thresholds:
-        report = evaluate(questions, outcomes_at(tops, t))
-        rows.append(SweepRow(t, report.precision, report.recall, report.f,
-                             report.guesses_made, report.skipped, report.doubles))
-    return rows
+    reports = [evaluate(questions, outcomes_at(tops, t)) for t in thresholds]
+    return [SweepRow(t, r.precision, r.recall, r.f, r.guesses_made, r.skipped, r.doubles)
+            for t, r in zip(thresholds, reports)]
 
 
 def nounmod_sweep(vectors: Sequence[RelationVector], labels: Sequence[str],
                   thresholds: Sequence[float], granularity: int = 30,
                   seed: int = 0, tie_break: str = "random") -> list[SweepRow]:
-    rows = []
-    results = loocv_thresholds(vectors, labels, thresholds, granularity, seed,
-                               tie_break=tie_break)
-    for t, result in zip(thresholds, results):
-        p, r, f = macroaverage(result.per_class)
-        rows.append(SweepRow(t, p, r, f, result.guesses_made,
-                             result.abstained, result.doubles))
-    return rows
+    results = loocv_thresholds(vectors, labels, thresholds, granularity, seed, tie_break)
+    return [SweepRow(t, *macroaverage(r.per_class), r.guesses_made, r.abstained, r.doubles)
+            for t, r in zip(thresholds, results)]
 
 
 def rows_to_csv(rows: Sequence[SweepRow]) -> str:

@@ -124,3 +124,32 @@ def oracle_ranked(scores, rng=None):
     n = len(scores)
     tiebreak = list(range(n)) if rng is None else rng.sample(range(n), n)
     return sorted(range(n), key=lambda i: (-scores[i], tiebreak[i]))
+
+
+def oracle_tally(labels, guess_sets, classes):
+    """Per-item LOOCV accounting over label names: each guess of the true
+    class is a TP, any other guess an FP to the guessed class, and a true
+    class left unguessed an FN. Returns the per-class rows (label, size,
+    tp, fp, fn, precision, recall, F), the confusion (true, guessed or
+    None for an abstention) -> count, and the guesses made, abstentions,
+    double guesses and correct items."""
+    tp = {c: 0 for c in classes}
+    fp = {c: 0 for c in classes}
+    fn = {c: 0 for c in classes}
+    size = {c: 0 for c in classes}
+    confusion = {}
+    for true, guesses in zip(labels, guess_sets):
+        size[true] += 1
+        fn[true] += true not in guesses
+        for g in guesses:
+            (tp if g == true else fp)[g] += 1
+        for g in guesses or (None,):
+            confusion[(true, g)] = confusion.get((true, g), 0) + 1
+    rows = []
+    for c in classes:
+        p = tp[c] / (tp[c] + fp[c]) if tp[c] + fp[c] else 0.0
+        r = tp[c] / (tp[c] + fn[c]) if tp[c] + fn[c] else 0.0
+        f = 2 * p * r / (p + r) if p + r else 0.0
+        rows.append((c, size[c], tp[c], fp[c], fn[c], p, r, f))
+    return (rows, confusion, sum(map(len, guess_sets)), sum(not g for g in guess_sets),
+            sum(len(g) == 2 for g in guess_sets), sum(tp.values()))

@@ -672,6 +672,49 @@ class TestInputErrors:
         assert code == 1, err
         assert f"{latin}: not UTF-8" in err
 
+    @pytest.mark.parametrize("bad", ["pairs", "questions", "labelled", "cache", "vectors-cache",
+                                     "terms"])
+    def test_directory_as_input_file_exits_one(self, capsys, built_index, sat_setup, nm_files,
+                                               tmp_path, bad):
+        q, cache = sat_setup
+        data, nm_cache = nm_files
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        args = {"pairs": ["vectors", folder, "--index", built_index,
+                          "--cache", tmp_path / "new.tsv"],
+                "questions": ["sat", "solve", folder, "--cache", cache],
+                "labelled": ["nounmod", "eval", folder, "--cache", nm_cache],
+                "cache": ["sat", "solve", q, "--cache", folder],
+                "vectors-cache": ["vectors", q, "--format", "sat", "--index", built_index,
+                                  "--cache", folder],
+                "terms": ["vectors", q, "--format", "sat", "--index", built_index,
+                          "--cache", tmp_path / "new.tsv", "--terms", folder]}[bad]
+        code, out, err = run_main(capsys, *map(str, args))
+        assert code == 1, err
+        assert err.startswith(f"error: {folder}: cannot read (") and out == ""
+        assert not (tmp_path / "new.tsv").exists()
+
+    @pytest.mark.parametrize("target", ["index", "cache", "csv", "directory"])
+    def test_unwritable_output_path_exits_one_naming_it(self, capsys, corpus_dir, built_index,
+                                                        sat_setup, tmp_path, target):
+        q, cache = sat_setup
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        missing = tmp_path / "missing" / "out"
+        path = folder if target == "directory" else missing
+        args = {"index": ["index", "build", corpus_dir, "-o", path],
+                "cache": ["vectors", q, "--format", "sat", "--index", built_index,
+                          "--cache", path],
+                "csv": ["sat", "solve", q, "--cache", cache, "--sweep", "-0.02:0.02:0.01",
+                        "--csv", path],
+                "directory": ["index", "build", corpus_dir, "-o", path]}[target]
+        before = sorted(p.name for p in tmp_path.iterdir())
+        code, out, err = run_main(capsys, *map(str, args))
+        assert code == 1, err
+        assert err.startswith(f"error: {path}: cannot write (") and ".tmp" not in err
+        assert out == "" and sorted(p.name for p in tmp_path.iterdir()) == before
+        assert list(folder.iterdir()) == []
+
     def test_interrupted_sweep_csv_keeps_old_file(self, capsys, monkeypatch, sat_setup,
                                                   tmp_path):
         q, cache = sat_setup

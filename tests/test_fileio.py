@@ -1,11 +1,12 @@
 import codecs
+import re
 
 import numpy as np
 import pytest
 
 from relsim import fileio
 from relsim.cache import VectorCache, load_cache
-from relsim.errors import DataFormatError
+from relsim.errors import DataFormatError, InputError
 from relsim.fileio import atomic_write, read_utf8
 from relsim.index import Document, build_index, load_corpus, load_index, save_index
 from relsim.vectors import WordPair
@@ -29,6 +30,24 @@ def test_successful_write_replaces(tmp_path):
         f.write(b"new")
     assert path.read_bytes() == b"new"
     assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
+
+
+@pytest.mark.parametrize("where", ["missing directory", "existing directory"])
+def test_unwritable_target_is_an_input_error_naming_it(tmp_path, where):
+    path = tmp_path / "out.bin"
+    if where == "missing directory":
+        path = tmp_path / "missing" / "out.bin"
+    else:
+        path.mkdir()
+    with pytest.raises(InputError, match=f"^{re.escape(str(path))}: cannot write \\("):
+        with atomic_write(path) as f:
+            f.write(b"data")
+    assert [p.name for p in tmp_path.iterdir()] == [path.name] * path.exists()
+
+
+def test_unreadable_path_is_a_data_format_error_naming_it(tmp_path):
+    with pytest.raises(DataFormatError, match=f"^{re.escape(str(tmp_path))}: cannot read \\("):
+        read_utf8(tmp_path)
 
 
 def test_cache_save_failure_keeps_old_cache(tmp_path, monkeypatch):

@@ -1,15 +1,18 @@
+import json
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relsim.errors import DataFormatError
 from relsim.nounmod import (ALL_ABBREVIATIONS, GROUPS, RELATION_CLASSES,
-                            ClassMetrics, group_of, load_labeled_pairs, loocv,
-                            macroaverage)
+                            ClassMetrics, _tally, group_of, load_labeled_pairs, loocv,
+                            loocv_thresholds, macroaverage)
 from relsim.vectors import RelationVector, WordPair
 
-from oracles import oracle_cosine, oracle_loocv_confusion
+from oracles import oracle_cosine, oracle_loocv_confusion, oracle_tally
 
 
 def vec(raw):
@@ -181,6 +184,49 @@ class TestLoocv:
         a = loocv(vecs, labels, 0.0, 30, seed=3)
         b = loocv(vecs, labels, 0.0, 30, seed=3)
         assert a.confusion == b.confusion
+
+
+class TestTally:
+    @settings(deadline=None)
+    @given(st.data())
+    def test_matches_per_item_oracle(self, data):
+        n = data.draw(st.integers(1, 6))
+        classes = ALL_ABBREVIATIONS[:n]
+        items = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                                             st.integers(0, n - 1), st.integers(0, 2)),
+                                   max_size=40))
+        if data.draw(st.booleans()):  # every item abstains
+            items = [(t, f, s, 0) for t, f, s, _ in items]
+        # a class shared by both neighbours is one guess at most, as loocv counts it
+        items = [(t, f, s, min(c, 1) if f == s else c) for t, f, s, c in items]
+        true, first, second, count = np.array(items, dtype=int).reshape(-1, 4).T
+        result = _tally(true, first, second, count, classes)
+
+        labels = [classes[t] for t, _, _, _ in items]
+        guess_sets = [(classes[f], classes[s])[:c] for _, f, s, c in items]
+        rows, confusion, made, abstained, doubles, correct = oracle_tally(labels, guess_sets,
+                                                                          classes)
+        assert [(m.label, m.size, m.tp, m.fp, m.fn, m.precision, m.recall, m.f)
+                for m in result.per_class] == rows
+        assert result.confusion == confusion
+        assert (result.guesses_made, result.abstained, result.doubles, result.correct,
+                result.total) == (made, abstained, doubles, correct, len(items))
+
+    @pytest.mark.parametrize("granularity", [30, 5])
+    def test_counts_are_ints_and_ratios_floats(self, granularity):
+        rng = random.Random(4)
+        vecs = [vec([rng.randint(0, 9) for _ in range(4)]) for _ in range(40)]
+        labels = [rng.choice(["ag", "cs", "meas", "tat"]) for _ in range(40)]
+        results = loocv_thresholds(vecs, labels, [-0.05, 0.0, 0.05], granularity)
+        assert {r.abstained > 0 for r in results} == {r.doubles > 0 for r in results} \
+            == {True, False}
+        for r in results:
+            assert all(type(x) is int for x in (r.guesses_made, r.abstained, r.doubles,
+                                                r.correct, r.total, *r.confusion.values()))
+            for m in r.per_class:
+                assert all(type(x) is int for x in (m.size, m.tp, m.fp, m.fn))
+                assert all(type(x) is float for x in (m.precision, m.recall, m.f))
+            json.dumps([[t, g, k] for (t, g), k in r.confusion.items()])
 
 
 class TestMacroaverage:

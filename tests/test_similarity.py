@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from relsim.analogy import AnalogyQuestion, solve_all
 from relsim.nounmod import LOOCV_BLOCK, loocv, loocv_thresholds
-from relsim.similarity import cosines, margin_rule, nearest_two, question_rng, top_two
+from relsim.similarity import (cosines, guess_count, margin_rule, nearest_two, question_rng,
+                               top_two)
 from relsim.sweep import (NOUNMOD_GRID, SAT_GRID, grid_thresholds,
                           nounmod_sweep, sat_sweep)
 from relsim.vectors import RelationVector, WordPair, cosine
@@ -143,6 +144,21 @@ def test_margin_rule_branches():
     assert margin_rule("a", "b", 0.05, 0.05) == ("a",)
     assert margin_rule("a", "b", 0.05, 0.06) == ()
     assert margin_rule("a", "b", 0.05, -0.06) == ("a", "b")
+
+
+@given(st.data())
+def test_guess_count_of_an_array_is_elementwise(data):
+    margins = data.draw(st.lists(st.sampled_from([0.0, 0.01, 0.05]) | st.floats(0, 1),
+                                 min_size=1, max_size=20))
+    threshold = data.draw(st.sampled_from([0.0, *margins, *(-m for m in margins)])
+                          | st.floats(-1, 1))
+    counts = guess_count(np.array(margins), threshold)
+    assert counts.shape == (len(margins),)
+    for m, count in zip(margins, counts.tolist()):
+        expected = 0 if threshold > m else 2 if threshold < -m else 1
+        assert type(guess_count(m, threshold)) is int
+        assert count == guess_count(m, threshold) == expected
+        assert margin_rule("a", "b", m, threshold) == ("a", "b")[:expected]
 
 
 class TestLoocvOracle:
