@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import DataFormatError
 from .fileio import read_rows
-from .similarity import TopTwo, cosines, margin_rule, nearest_two, top_two
+from .similarity import cosines, guess_count, nearest_two, top_two
 from .vectors import RelationVector, WordPair
 
 CHOICE_LETTERS = "abcdefghijklmnopqrstuvwxyz"
@@ -53,31 +53,31 @@ def decide(cosines: Sequence[float], threshold: float,
     """
     if len(cosines) < 2:
         raise ValueError("need at least two cosines")
-    return outcomes_at([None if stem_is_zero else top_two(cosines, rng)], threshold)[0]
+    top = (0, 0, 0.0) if stem_is_zero else top_two(cosines, rng)
+    return outcomes_at([np.array([x]) for x in (*top, stem_is_zero)], threshold)[0]
 
 
 def score_questions(questions: Sequence[AnalogyQuestion],
                     vectors: dict[str, RelationVector], seed: int = 0,
-                    tie_break: str = "random") -> list[TopTwo | None]:
-    """Each question's best and second-best choice and their margin, or
-    None when its stem vector is all zeros; outcomes_at applies a
-    threshold afterwards."""
+                    tie_break: str = "random") -> tuple[np.ndarray, ...]:
+    """nearest_two's arrays over the questions' choices (best, second,
+    margin), and a boolean array marking the questions whose stem vector is
+    all zeros; outcomes_at applies a threshold afterwards."""
     table = np.full((len(questions), max((len(q.choices) for q in questions), default=0)),
                     -np.inf)
     for row, q in zip(table, questions):
         row[:len(q.choices)] = cosines(vectors[q.stem.key()].r,
                                        [vectors[c.key()].r for c in q.choices])
-    tops = nearest_two(table, seed, tie_break)
-    return [None if vectors[q.stem.key()].is_zero() else top
-            for q, top in zip(questions, tops)]
+    zero = np.array([vectors[q.stem.key()].is_zero() for q in questions], dtype=bool)
+    return (*nearest_two(table, seed, tie_break), zero)
 
 
-def outcomes_at(tops: Sequence[TopTwo | None], threshold: float) -> list[GuessOutcome]:
+def outcomes_at(scores: Sequence[np.ndarray], threshold: float) -> list[GuessOutcome]:
     """The margin policy at one threshold over score_questions' result."""
-    return [GuessOutcome((), 0.0, skipped_zero_stem=True) if top is None
-            else GuessOutcome(margin_rule(top.best, top.second, top.margin, threshold),
-                              top.margin)
-            for top in tops]
+    best, second, margin, zero = scores
+    count = np.where(zero, 0, guess_count(margin, threshold))
+    return [GuessOutcome((b, s)[:c], 0.0 if z else m, skipped_zero_stem=z)
+            for b, s, m, c, z in zip(*(a.tolist() for a in (best, second, margin, count, zero)))]
 
 
 def solve_all(questions: Sequence[AnalogyQuestion],

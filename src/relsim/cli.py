@@ -16,10 +16,10 @@ import click
 from . import analogy, sweep
 from .cache import VectorCache, load_cache
 from .errors import DataFormatError, InputError
-from .fileio import atomic_write, read_rows
+from .fileio import atomic_write, check_writable, read_rows
 from .index import (CountMode, build_index, load_corpus, load_index,
                     save_index)
-from .nounmod import GROUPS, load_labeled_pairs, loocv, macroaverage
+from .nounmod import load_labeled_pairs, loocv, macroaverage
 from .similarity import TIE_BREAKS
 from .terms import default_joining_terms, load_joining_terms, terms_checksum
 from .vectors import LocalIndexProvider, WordPair, build_vector
@@ -54,6 +54,7 @@ def index_build(corpus, output):
     filename order) or a single file with documents separated by a line
     containing only "%%".
     """
+    check_writable(output)
     docs = load_corpus(corpus)
     if not docs or all(not d.tokens for d in docs):
         click.echo("warning: corpus is empty", err=True)
@@ -110,9 +111,10 @@ def vectors_cmd(pairs_file, index_path, cache_path, fmt, mode, terms_path):
         cache = VectorCache(idx.corpus_digest, checksum, mode=mode)
     provider = LocalIndexProvider(idx, mode)
     new = [p for p in pairs if p not in cache]
-    for pair in new:
-        cache.put(pair, build_vector(provider, pair, terms).raw)
     if new or not exists:  # an unchanged cache file is left as it is
+        check_writable(cache_path)
+        for pair in new:
+            cache.put(pair, build_vector(provider, pair, terms).raw)
         cache.save(cache_path)
     click.echo(f"pairs: {len(pairs)} distinct ({len(new)} computed, "
                f"{len(pairs) - len(new)} reused)")

@@ -5,6 +5,7 @@ vector cache, sweep CSV)."""
 from __future__ import annotations
 
 import os
+import tempfile
 import uuid
 from contextlib import contextmanager
 from pathlib import Path
@@ -44,6 +45,16 @@ def read_rows(path: str | Path, parse_row: Callable[[list[str]], Row]) -> list[R
         except (DataFormatError, ValueError) as e:
             raise DataFormatError(f"{path}:{lineno}: {e}") from e
     return rows
+
+
+def check_writable(path: str | Path) -> None:
+    """Raise now the InputError atomic_write would raise for `path`; leaves no file."""
+    if Path(path).is_dir():
+        raise InputError(f"{path}: cannot write (Is a directory)")
+    try:
+        tempfile.TemporaryFile(dir=Path(path).parent).close()
+    except OSError as e:
+        raise InputError(f"{path}: cannot write ({e.strerror})") from None
 
 
 @contextmanager

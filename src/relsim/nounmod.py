@@ -143,16 +143,16 @@ def loocv_thresholds(vectors: Sequence[RelationVector], labels: Sequence[str],
 
     # -inf masks each probe itself; with two items the lone neighbour is also the runner-up (1-NN).
     rows = np.array([v.r for v in vectors])
-    tops = []
+    blocks = []
     for lo in range(0, len(rows), LOOCV_BLOCK):
         table = cosines(rows[lo:lo + LOOCV_BLOCK, None], rows)
         np.fill_diagonal(table[:, lo:], -np.inf)
-        tops += nearest_two(table, seed, tie_break, start=lo)
+        blocks.append(nearest_two(table, seed, tie_break, start=lo))
         del table  # so that cosines builds the next block's table without this one alive
+    best, second, margins = map(np.concatenate, zip(*blocks))
     number = {c: k for k, c in enumerate(classes)}
     true = np.array([number[lab] for lab in labels])
-    first, second = true[[top.best for top in tops]], true[[top.second for top in tops]]
-    margins = np.array([top.margin for top in tops])
+    first, second = true[best], true[second]
     # A class shared by both nearest neighbours is guessed whatever the threshold.
     return [_tally(true, first, second, np.where(first == second, 1, guess_count(margins, t)),
                    classes)

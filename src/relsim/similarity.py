@@ -2,9 +2,9 @@
 classifier.
 
 A command scores its probes as one probes x positions table of cosines,
--inf where a position is not a probe's candidate. nearest_two takes each
-row's best and second-best candidate and their margin; guess_count applies
-a threshold afterwards, to an array of margins at once, so a sweep scores
+-inf where a position is not a probe's candidate. nearest_two returns three
+arrays: each row's best and second-best position and their margin. guess_count
+applies a threshold to all the margins at once, so a sweep scores
 each probe once and counts every threshold in bulk.
 
 A cosine is dot / (|a| * |b|), and 0 when either norm is 0. Each dot
@@ -18,7 +18,6 @@ mathematically equal cosines that may still differ in the last bit.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -43,14 +42,7 @@ def cosines(a, b) -> np.ndarray:
     return cos
 
 
-@dataclass(frozen=True)
-class TopTwo:
-    best: int  # positions in the probe's candidate list
-    second: int
-    margin: float  # best cosine minus second-best cosine
-
-
-def top_two(scores: Sequence[float], rng: random.Random | None = None) -> TopTwo:
+def top_two(scores: Sequence[float], rng: random.Random | None = None) -> tuple[int, int, float]:
     """The two highest-scoring positions and the margin between them.
 
     Positions rank by descending score. Exact ties are broken by a random
@@ -63,20 +55,20 @@ def top_two(scores: Sequence[float], rng: random.Random | None = None) -> TopTwo
     if n == 0:
         raise ValueError("need at least one score")
     if n == 1:
-        return TopTwo(0, 0, 0.0)
+        return 0, 0, 0.0
     # The positions scoring at least the second-highest score.
     top = np.flatnonzero(scores >= np.partition(scores, n - 2)[n - 2]).tolist()
     keys = range(n)
     if rng is not None and len(set(scores[top].tolist())) < len(top):
         keys = rng.sample(range(n), n)
     best, second = sorted(top, key=lambda i: (-scores[i], keys[i]))[:2]
-    return TopTwo(best, second, float(scores[best] - scores[second]))
+    return best, second, float(scores[best] - scores[second])
 
 
 def nearest_two(table, seed: int = 0, tie_break: str = "random",
-                start: int = 0) -> list[TopTwo]:
-    """top_two of each row of a probes x positions float array, over the
-    row's candidates (its positions that are not -inf, one at least).
+                start: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """top_two of each row of a probes x positions float array, over the row's
+    candidates (not -inf, one at least), as arrays best, second (ints) and margin.
 
     Row k is probe start + k. tie_break "random" breaks its exact ties with
     question_rng(seed, start + k), drawn only when a tie touches the best
@@ -85,28 +77,22 @@ def nearest_two(table, seed: int = 0, tie_break: str = "random",
     if tie_break not in TIE_BREAKS:
         raise ValueError(f"tie_break must be one of {TIE_BREAKS}, got {tie_break!r}")
     if not len(table):
-        return []
+        return np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0)
     best = table.argmax(axis=1)
     rest = np.where(np.arange(table.shape[1]) == best[:, None], -np.inf, table)
     s1, s2 = table.max(axis=1), rest.max(axis=1)
     lone = s2 == -np.inf  # a lone candidate is its own runner-up, at margin 0
-    second, s2 = np.where(lone, best, rest.argmax(axis=1)), np.where(lone, s1, s2)
-    tops = [TopTwo(*top) for top in zip(best.tolist(), second.tolist(), (s1 - s2).tolist())]
+    second, margin = np.where(lone, best, rest.argmax(axis=1)), np.where(lone, 0.0, s1 - s2)
     if tie_break == "random":
-        tied = ~lone & ((s1 == s2) | (np.count_nonzero(table >= s2[:, None], axis=1) > 2))
+        tied = ~lone & ((margin == 0) | (np.count_nonzero(table >= s2[:, None], axis=1) > 2))
         for k in np.flatnonzero(tied).tolist():
             candidates = np.flatnonzero(table[k] > -np.inf)
-            top = top_two(table[k, candidates], question_rng(seed, start + k))
-            tops[k] = TopTwo(int(candidates[top.best]), int(candidates[top.second]), top.margin)
-    return tops
+            b, s, margin[k] = top_two(table[k, candidates], question_rng(seed, start + k))
+            best[k], second[k] = candidates[b], candidates[s]
+    return best, second, margin
 
 
 def guess_count(margin, threshold):
     """The margin rule at threshold t, for one margin or an array: 0 (skip)
     when t > margin, 2 (best and second) when t < -margin, otherwise 1."""
     return (threshold <= margin) * (1 + (threshold < -margin))
-
-
-def margin_rule(first, second, margin: float, threshold: float) -> tuple:
-    """The guess set of guess_count: (), (first,) or (first, second)."""
-    return (first, second)[:guess_count(margin, threshold)]

@@ -104,18 +104,22 @@ def oracle_loocv_confusion(raw_vectors, labels, threshold):
         if l1 == l2:
             guesses = [l1]
         else:
-            m = (-c1neg) - (-c2neg)
-            if threshold > m:
-                guesses = []
-            elif threshold < -m:
-                guesses = [l1, l2]
-            else:
-                guesses = [l1]
+            guesses = oracle_margin_rule(l1, l2, (-c1neg) - (-c2neg), threshold)
         if not guesses:
             bump((labels[i], None))
         for g in guesses:
             bump((labels[i], g))
     return confusion
+
+
+def oracle_margin_rule(first, second, margin, threshold):
+    """The guess set at a threshold, in branch form: none when the threshold
+    is above the margin, both when it is below -margin, otherwise the best."""
+    if threshold > margin:
+        return ()
+    if threshold < -margin:
+        return (first, second)
+    return (first,)
 
 
 def oracle_ranked(scores, rng=None):

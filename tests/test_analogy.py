@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 import random
 
@@ -43,7 +45,7 @@ class TestScoreChoices:
         picks = set()
         for s in range(20):
             out = solve_one([1, 0, 0], [[0, 0, 0], [0, 3, 4]], seed=s, tie_break="random")
-            assert out.guesses == (top_two([0.0, 0.0], question_rng(s, 0)).best,)
+            assert out.guesses == top_two([0.0, 0.0], question_rng(s, 0))[:1]
             picks.add(out.guesses)
         assert picks == {(0,), (1,)}
 
@@ -312,6 +314,20 @@ class TestSweep:
         questions, vectors = self.make_fixture()
         rows = sat_sweep(questions, vectors, grid_thresholds(-0.11, 0.11, 0.01))
         assert all(r.skipped >= 1 for r in rows)
+
+    @pytest.mark.parametrize("tie_break", ["random", "first"])
+    def test_outcomes_hold_python_numbers(self, tie_break):
+        """Guesses are ints and margins floats, which json.dumps takes; under
+        "random" the zero stem's all-tie row takes the per-probe tie rule."""
+        questions, vectors = self.make_fixture()
+        outcomes = [decide([0.5, 0.5, 0.1], -0.01, rng=random.Random(1))]
+        for t in (-0.05, 0.0, 0.05):
+            outcomes += solve_all(questions, vectors, t, seed=3, tie_break=tie_break)
+        assert {len(o.guesses) for o in outcomes} == {0, 1, 2}
+        for out in outcomes:
+            assert all(type(g) is int for g in out.guesses)
+            assert type(out.margin) is float and type(out.skipped_zero_stem) is bool
+        json.dumps([dataclasses.asdict(o) for o in outcomes])
 
     def test_solve_all_single_guess_at_zero(self):
         questions, vectors = self.make_fixture()

@@ -715,6 +715,38 @@ class TestInputErrors:
         assert out == "" and sorted(p.name for p in tmp_path.iterdir()) == before
         assert list(folder.iterdir()) == []
 
+    @pytest.mark.parametrize("target", ["index", "directory", "cache"])
+    def test_unwritable_output_fails_before_the_work(self, capsys, monkeypatch, corpus_dir,
+                                                     built_index, sat_setup, tmp_path, target):
+        q, _ = sat_setup
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        path = folder if target == "directory" else tmp_path / "missing" / "out"
+
+        def fail(*args):
+            pytest.fail("the work ran before the output path was checked")
+        for name in ("load_corpus", "build_index", "build_vector"):
+            monkeypatch.setattr(f"relsim.cli.{name}", fail)
+        args = (["vectors", q, "--format", "sat", "--index", built_index, "--cache", path]
+                if target == "cache" else ["index", "build", corpus_dir, "-o", path])
+        before = sorted(p.name for p in tmp_path.iterdir())
+        code, out, err = run_main(capsys, *map(str, args))
+        assert code == 1, err
+        assert err.startswith(f"error: {path}: cannot write (") and ".tmp" not in err
+        assert out == "" and sorted(p.name for p in tmp_path.iterdir()) == before
+        assert list(folder.iterdir()) == []
+
+    def test_unchanged_cache_is_not_probed(self, capsys, monkeypatch, sat_setup, built_index):
+        q, cache = sat_setup
+        before = cache.stat()
+        monkeypatch.setattr("relsim.cli.check_writable", lambda path: pytest.fail("probed"))
+        code, out, err = run_main(capsys, "vectors", str(q), "--format", "sat",
+                                  "--index", str(built_index), "--cache", str(cache))
+        assert code == 0, err
+        assert "0 computed" in out
+        after = cache.stat()
+        assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+
     def test_interrupted_sweep_csv_keeps_old_file(self, capsys, monkeypatch, sat_setup,
                                                   tmp_path):
         q, cache = sat_setup

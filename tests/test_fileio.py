@@ -7,7 +7,7 @@ import pytest
 from relsim import fileio
 from relsim.cache import VectorCache, load_cache
 from relsim.errors import DataFormatError, InputError
-from relsim.fileio import atomic_write, read_utf8
+from relsim.fileio import atomic_write, check_writable, read_utf8
 from relsim.index import Document, build_index, load_corpus, load_index, save_index
 from relsim.vectors import WordPair
 
@@ -43,6 +43,33 @@ def test_unwritable_target_is_an_input_error_naming_it(tmp_path, where):
         with atomic_write(path) as f:
             f.write(b"data")
     assert [p.name for p in tmp_path.iterdir()] == [path.name] * path.exists()
+
+
+@pytest.mark.parametrize("where", ["missing directory", "existing directory", "file as folder"])
+def test_check_writable_raises_what_atomic_write_raises(tmp_path, where):
+    (tmp_path / "file").write_bytes(b"")
+    path = {"missing directory": tmp_path / "missing" / "out.bin",
+            "existing directory": tmp_path / "folder",
+            "file as folder": tmp_path / "file" / "out.bin"}[where]
+    if where == "existing directory":
+        path.mkdir()
+    before = sorted(tmp_path.rglob("*"))
+    with pytest.raises(InputError) as checked:
+        check_writable(path)
+    with pytest.raises(InputError) as written:
+        with atomic_write(path) as f:
+            f.write(b"data")
+    assert str(checked.value) == str(written.value)
+    assert str(checked.value).startswith(f"{path}: cannot write (")
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_check_writable_leaves_a_writable_path_alone(tmp_path):
+    check_writable(tmp_path / "new.bin")
+    (tmp_path / "old.bin").write_bytes(b"old")
+    check_writable(tmp_path / "old.bin")
+    assert [p.name for p in tmp_path.iterdir()] == ["old.bin"]
+    assert (tmp_path / "old.bin").read_bytes() == b"old"
 
 
 def test_unreadable_path_is_a_data_format_error_naming_it(tmp_path):

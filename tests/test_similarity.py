@@ -7,13 +7,12 @@ from hypothesis import strategies as st
 
 from relsim.analogy import AnalogyQuestion, solve_all
 from relsim.nounmod import LOOCV_BLOCK, loocv, loocv_thresholds
-from relsim.similarity import (cosines, guess_count, margin_rule, nearest_two, question_rng,
-                               top_two)
+from relsim.similarity import cosines, guess_count, nearest_two, question_rng, top_two
 from relsim.sweep import (NOUNMOD_GRID, SAT_GRID, grid_thresholds,
                           nounmod_sweep, sat_sweep)
 from relsim.vectors import RelationVector, WordPair, cosine
 
-from oracles import oracle_cosine, oracle_loocv_confusion, oracle_ranked
+from oracles import oracle_cosine, oracle_loocv_confusion, oracle_margin_rule, oracle_ranked
 
 
 def vec(raw):
@@ -39,9 +38,9 @@ class TestTopTwo:
         scores = [v / 4 for v in values]
         rng = (lambda: random.Random(seed)) if use_rng else (lambda: None)
         order = oracle_ranked(scores, rng())
-        top = top_two(scores, rng())
-        assert (top.best, top.second) == (order[0], order[1])
-        assert top.margin == scores[order[0]] - scores[order[1]]
+        best, second, margin = top_two(scores, rng())
+        assert (best, second) == (order[0], order[1])
+        assert margin == scores[order[0]] - scores[order[1]]
 
     @given(st.lists(st.integers(0, 3), min_size=1, max_size=12), st.integers(0, 50))
     def test_draws_rng_only_for_a_tie_in_the_top_two(self, values, seed):
@@ -57,8 +56,7 @@ class TestTopTwo:
         assert rng.getstate() == expected.getstate()
 
     def test_single_score_is_its_own_runner_up(self):
-        assert top_two([0.3]) == top_two([0.3], random.Random(1))
-        assert (top_two([0.3]).best, top_two([0.3]).second) == (0, 0)
+        assert top_two([0.3]) == top_two([0.3], random.Random(1)) == (0, 0, 0.0)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -128,22 +126,31 @@ class TestNearestTwo:
         rows = data.draw(st.lists(row, max_size=6))
         rows += [[-np.inf] * (width - 1) + [0.5], [0.25] * width]
         rows = data.draw(st.permutations(rows))
-        tops = nearest_two(np.array(rows), seed, tie_break, start=start)
-        assert len(tops) == len(rows)
-        for k, (r, top) in enumerate(zip(rows, tops)):
+        best, second, margin = nearest_two(np.array(rows), seed, tie_break, start=start)
+        assert best.shape == second.shape == margin.shape == (len(rows),)
+        assert (best.dtype.kind, second.dtype.kind, margin.dtype.kind) == ("i", "i", "f")
+        for k, r in enumerate(rows):
             candidates = [j for j, s in enumerate(r) if s > -np.inf]
             scores = [r[j] for j in candidates]
             rng = question_rng(seed, start + k) if tie_break == "random" else None
             order = oracle_ranked(scores, rng) * 2  # a lone candidate is its own runner-up
-            assert (top.best, top.second) == (candidates[order[0]], candidates[order[1]])
-            assert top.margin == scores[order[0]] - scores[order[1]]
+            assert (best[k], second[k]) == (candidates[order[0]], candidates[order[1]])
+            assert margin[k] == scores[order[0]] - scores[order[1]]
+
+    @pytest.mark.parametrize("table", [[], np.zeros((0, 0)), np.full((0, 5), -np.inf)])
+    @pytest.mark.parametrize("tie_break", ["random", "first"])
+    def test_empty_table_gives_three_empty_arrays(self, table, tie_break):
+        best, second, margin = nearest_two(table, tie_break=tie_break)
+        assert best.shape == second.shape == margin.shape == (0,)
+        assert (best.dtype.kind, second.dtype.kind, margin.dtype.kind) == ("i", "i", "f")
 
 
 def test_margin_rule_branches():
-    assert margin_rule("a", "b", 0.05, 0.0) == ("a",)
-    assert margin_rule("a", "b", 0.05, 0.05) == ("a",)
-    assert margin_rule("a", "b", 0.05, 0.06) == ()
-    assert margin_rule("a", "b", 0.05, -0.06) == ("a", "b")
+    """guess_count at t = 0, at t = +-margin (the best alone) and past it."""
+    for m, t, expected in ((0.05, 0.0, 1), (0.05, 0.05, 1), (0.05, -0.05, 1), (0.05, 0.06, 0),
+                           (0.05, -0.06, 2), (0.0, 0.0, 1)):
+        assert guess_count(m, t) == expected
+        assert ("a", "b")[:expected] == oracle_margin_rule("a", "b", m, t)
 
 
 @given(st.data())
@@ -155,10 +162,8 @@ def test_guess_count_of_an_array_is_elementwise(data):
     counts = guess_count(np.array(margins), threshold)
     assert counts.shape == (len(margins),)
     for m, count in zip(margins, counts.tolist()):
-        expected = 0 if threshold > m else 2 if threshold < -m else 1
         assert type(guess_count(m, threshold)) is int
-        assert count == guess_count(m, threshold) == expected
-        assert margin_rule("a", "b", m, threshold) == ("a", "b")[:expected]
+        assert count == guess_count(m, threshold) == len(oracle_margin_rule("a", "b", m, threshold))
 
 
 class TestLoocvOracle:
@@ -223,7 +228,7 @@ def reference_solve(questions, vectors, threshold, seed, tie_break):
         scores = [oracle_cosine(list(stem.r), list(vectors[c.key()].r)) for c in q.choices]
         rng = question_rng(seed, ordinal) if tie_break == "random" else None
         best, second = oracle_ranked(scores, rng)[:2]
-        outcomes.append(margin_rule(best, second, scores[best] - scores[second], threshold))
+        outcomes.append(oracle_margin_rule(best, second, scores[best] - scores[second], threshold))
     return outcomes
 
 
@@ -269,11 +274,11 @@ class TestScoreTables:
         expected = {t: [] for t in grid}
         for k, q in enumerate(questions):
             stem = vectors[q.stem.key()]
-            top = loop_top_two(stem, [vectors[c.key()] for c in q.choices],
-                               question_rng(seed, k))
+            best, second, margin = loop_top_two(stem, [vectors[c.key()] for c in q.choices],
+                                                question_rng(seed, k))
             for t in grid:
                 expected[t].append(() if stem.is_zero() else
-                                   margin_rule(top.best, top.second, top.margin, t))
+                                   oracle_margin_rule(best, second, margin, t))
         rows = sat_sweep(questions, vectors, grid, seed)
         for t, row in zip(grid, rows):
             got = [o.guesses for o in solve_all(questions, vectors, t, seed)]
@@ -296,11 +301,12 @@ class TestScoreTables:
         expected = {t: {} for t in grid}
         for i, v in enumerate(vectors):
             others = [j for j in range(n) if j != i]
-            top = loop_top_two(v, [vectors[j] for j in others], question_rng(seed, i))
-            first, second = labels[others[top.best]], labels[others[top.second]]
+            best, second, margin = loop_top_two(v, [vectors[j] for j in others],
+                                                question_rng(seed, i))
+            first, second = labels[others[best]], labels[others[second]]
             for t in grid:
                 guesses = (first,) if first == second else \
-                    margin_rule(first, second, top.margin, t)
+                    oracle_margin_rule(first, second, margin, t)
                 for g in guesses or (None,):
                     key = (labels[i], g)
                     expected[t][key] = expected[t].get(key, 0) + 1
