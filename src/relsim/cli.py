@@ -198,6 +198,8 @@ def sat():
 def sat_solve(questions_file, cache_path, index_path, terms_path, threshold,
               sweep_thresholds, csv_path, seed, tie_break):
     """Answer analogy questions at a margin threshold, or sweep thresholds."""
+    if csv_path:
+        check_writable(csv_path)
     questions = analogy.load_questions(questions_file)
     vectors = _cached_vectors([p for q in questions for p in q.pairs()],
                               cache_path, index_path, terms_path)
@@ -264,6 +266,8 @@ def nounmod():
 def nounmod_eval(data_file, cache_path, index_path, terms_path, granularity,
                  threshold, sweep_thresholds, csv_path, seed, tie_break):
     """Leave-one-out nearest-neighbour evaluation of labeled pairs."""
+    if csv_path:
+        check_writable(csv_path)
     items = load_labeled_pairs(data_file)
     if len(items) < 2:
         raise DataFormatError(f"{data_file}: need at least two labelled items, "

@@ -157,3 +157,44 @@ def oracle_tally(labels, guess_sets, classes):
         rows.append((c, size[c], tp[c], fp[c], fn[c], p, r, f))
     return (rows, confusion, sum(map(len, guess_sets)), sum(not g for g in guess_sets),
             sum(len(g) == 2 for g in guess_sets), sum(tp.values()))
+
+
+def oracle_load_cache(path):
+    """The rows of a vector cache file whose header is valid, by one loop
+    over its body lines: key -> tuple of int counts. The first bad row
+    raises ValueError with the text of load_cache's error for it. A row is
+    checked key first (a member rule, then a repeat), then its count text
+    (each tab-separated field ASCII digits without a leading zero), then
+    the number of counts (128)."""
+    with open(path, encoding="utf-8") as f:
+        lines = f.read().splitlines()
+    lineno = 1
+    while lineno < len(lines) and lines[lineno].startswith("# ") and "\t" not in lines[lineno]:
+        lineno += 1
+    entries = {}
+    for line in lines[lineno:]:
+        lineno += 1
+        if not line.strip():
+            continue
+        key, _, text = line.partition("\t")
+        x, _, y = key.partition(":")
+        if not (oracle_pair_member(x) and oracle_pair_member(y)):
+            error = (f"bad word pair {x!r}, {y!r}: a member has no token characters "
+                     "(a-z, 0-9) or holds ':', a tab or a line break")
+        elif key in entries:
+            error = f"repeated key {key!r}"
+        else:
+            fields = text.split("\t")
+            try:
+                if not all(re.fullmatch("0|[1-9][0-9]*", f) for f in fields):
+                    raise ValueError
+                counts = tuple(int(f) for f in fields)  # int() refuses over 4300 digits
+            except ValueError:
+                error = "hit counts must be ASCII digits without leading zeros"
+            else:
+                if len(counts) == 128:
+                    entries[key] = counts
+                    continue
+                error = f"expected 128 counts, got {len(counts)}"
+        raise ValueError(f"{path}:{lineno}: {error}")
+    return entries

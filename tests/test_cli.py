@@ -715,20 +715,29 @@ class TestInputErrors:
         assert out == "" and sorted(p.name for p in tmp_path.iterdir()) == before
         assert list(folder.iterdir()) == []
 
-    @pytest.mark.parametrize("target", ["index", "directory", "cache"])
+    @pytest.mark.parametrize("target", ["index", "directory", "cache", "sat-csv",
+                                        "nounmod-csv"])
     def test_unwritable_output_fails_before_the_work(self, capsys, monkeypatch, corpus_dir,
-                                                     built_index, sat_setup, tmp_path, target):
-        q, _ = sat_setup
+                                                     built_index, sat_setup, nm_files,
+                                                     tmp_path, target):
+        q, cache = sat_setup
+        data, nm_cache = nm_files
         folder = tmp_path / "folder"
         folder.mkdir()
         path = folder if target == "directory" else tmp_path / "missing" / "out"
 
         def fail(*args):
             pytest.fail("the work ran before the output path was checked")
-        for name in ("load_corpus", "build_index", "build_vector"):
+        for name in ("load_corpus", "build_index", "build_vector", "sweep.sat_sweep",
+                     "sweep.nounmod_sweep"):
             monkeypatch.setattr(f"relsim.cli.{name}", fail)
-        args = (["vectors", q, "--format", "sat", "--index", built_index, "--cache", path]
-                if target == "cache" else ["index", "build", corpus_dir, "-o", path])
+        sweep = ["--sweep", "-0.02:0.02:0.01", "--csv", path]
+        args = {"index": ["index", "build", corpus_dir, "-o", path],
+                "directory": ["index", "build", corpus_dir, "-o", path],
+                "cache": ["vectors", q, "--format", "sat", "--index", built_index,
+                          "--cache", path],
+                "sat-csv": ["sat", "solve", q, "--cache", cache, *sweep],
+                "nounmod-csv": ["nounmod", "eval", data, "--cache", nm_cache, *sweep]}[target]
         before = sorted(p.name for p in tmp_path.iterdir())
         code, out, err = run_main(capsys, *map(str, args))
         assert code == 1, err

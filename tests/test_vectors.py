@@ -22,7 +22,7 @@ from relsim.terms import (default_joining_terms, load_joining_terms,
 from relsim.vectors import (LocalIndexProvider, RelationVector, WordPair,
                             build_vector, cosine, generate_queries, stem)
 
-from oracles import LINE_BREAKS, oracle_cosine, oracle_pair_member
+from oracles import LINE_BREAKS, oracle_cosine, oracle_load_cache, oracle_pair_member
 from test_acceptance import PLANT_PAIRS, planted_corpus
 
 TERMS = default_joining_terms()
@@ -152,11 +152,14 @@ class TestWordPair:
                 WordPair.from_key(key)
 
     @given(st.text(), st.text(),
-           st.lists(st.integers(0, 10 ** 12), min_size=128, max_size=128))
+           st.lists(st.integers(0, 10 ** 25), min_size=128, max_size=128))
     @example("# x", "y", [0] * 128)
     @example("a:b", "c", [1] * 128)
+    @example("a", "c", [10 ** 18 - 1, 10 ** 18, 2 ** 63 - 1, 2 ** 63, 10 ** 25] + [0] * 123)
     @settings(deadline=None)
     def test_accepted_pair_survives_cache_round_trip(self, x, y, counts):
+        """A row is saved as its key and the str() of each count, tab-separated,
+        and loads back as the same ints."""
         try:
             pair = WordPair(x, y)
         except ValueError:
@@ -167,9 +170,13 @@ class TestWordPair:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "cache.tsv"
             cache.save(path)
+            lines = path.read_text(encoding="utf-8").split("\n")
             loaded = load_cache(path, "digest", "checksum")
+        for key, row in cache.entries.items():
+            assert key + "\t" + "\t".join(map(str, row)) in lines
         assert loaded.entries == cache.entries
         assert loaded.entries[pair.key()] == tuple(counts)
+        assert all(type(c) is int for c in loaded.entries[pair.key()])
 
     def test_vector_equals_from_raw_on_every_row(self):
         """vector() skips the count rule that load_cache (or put) already
@@ -337,6 +344,78 @@ class TestCountRule:
         with pytest.raises(ProviderError) as exc:
             build_vector(lambda q: count, pair, TERMS)
         assert exc.value.query == generate_queries(pair, TERMS)[0]
+
+
+class TestLoadCache:
+    """load_cache reads a block of rows at a time, and the row-by-row oracle
+    one row at a time: both give the same entries, or the same error."""
+
+    BAD = ["05", "00", "", "+5", "\u0665", "-1", " 5", "127 fields", "129 fields",
+           "bad key", "repeated key"]
+
+    @given(st.one_of(st.sampled_from([0, 1, 63, 64, 65, 127, 128, 129, 200]),
+                     st.integers(0, 200)),
+           st.sampled_from([None, *BAD]), st.integers(0, 200), st.integers(0, 200),
+           st.booleans(), st.integers(0, 2 ** 32))
+    @example(n=65, bad="repeated key", at=64, source=0, blank=False, seed=0)
+    @example(n=64, bad="repeated key", at=63, source=0, blank=False, seed=0)
+    @example(n=129, bad="05", at=128, source=0, blank=True, seed=0)
+    @settings(deadline=None, max_examples=100)
+    def test_blocks_read_what_rows_read(self, n, bad, at, source, blank, seed):
+        """n rows, one of which (row `at` mod n) may be bad; a repeated key
+        copies row `source` mod `at`."""
+        rnd = random.Random(seed)
+
+        def counts():
+            """Mostly small counts; about one row in 200 may hold one that int64 does not."""
+            digits = [1, 2, 18, 19, 26] if rnd.random() < 0.005 else [1, 2, 18]
+            return [str(rnd.randrange(10 ** rnd.choice(digits)) if rnd.random() < 0.05
+                        else rnd.randrange(3)) for _ in range(128)]
+        lines = ["\t".join([rnd.choice(["w", "# w", "\u00c9", "a b"]) + f"{i}:y{i}",
+                            *counts()]) for i in range(n)]
+        if bad is not None and n:
+            at %= n
+            key, *fields = lines[at].split("\t")
+            if bad == "127 fields":
+                fields.pop()
+            elif bad == "129 fields":
+                fields.append("0")
+            elif bad == "bad key":
+                key = rnd.choice(["ab", ":b", "a:", "a:b:c", "%:b"])
+            elif bad == "repeated key":
+                key = lines[source % at].partition("\t")[0] if at else key
+            else:
+                fields[rnd.randrange(128)] = bad
+            lines[at] = "\t".join([key, *fields])
+        if blank:
+            lines.insert(rnd.randrange(n + 1), rnd.choice(["", " \t "]))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "cache.tsv"
+            VectorCache("d", "t").save(path)
+            with path.open("a", encoding="utf-8") as f:
+                f.write("".join(line + "\n" for line in lines))
+            try:
+                want = oracle_load_cache(path)
+            except ValueError as e:
+                with pytest.raises(DataFormatError) as exc:
+                    load_cache(path)
+                assert str(exc.value) == str(e)
+            else:
+                got = load_cache(path).entries
+                assert got == want and list(got) == list(want)
+                assert all(type(c) is int for row in got.values() for c in row)
+
+    @pytest.mark.parametrize("first, second", [(127, 129), (129, 127)])
+    def test_field_counts_are_checked_per_row(self, tmp_path, first, second):
+        """Two rows in one block that hold 256 fields between them."""
+        path = tmp_path / "cache.tsv"
+        VectorCache("d", "t").save(path)
+        with path.open("a", encoding="utf-8") as f:
+            for key, fields in (("a:b", first), ("c:d", second)):
+                f.write("\t".join([key, *["1"] * fields]) + "\n")
+        with pytest.raises(DataFormatError, match=f"^{re.escape(str(path))}:4: expected 128 "
+                           f"counts, got {first}$"):
+            load_cache(path)
 
 
 class TestCosine:
