@@ -12,7 +12,6 @@ error names its line and a count too long for int64 is still read exactly.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -23,13 +22,14 @@ from .errors import CacheProvenanceError, DataFormatError
 from .fileio import atomic_write, read_utf8
 from .index import CountMode
 from .terms import TERM_COUNT
-from .vectors import RelationVector, WordPair, hit_counts
+from .vectors import MAX_COUNT, RelationVector, WordPair, hit_counts
 
 _MAGIC = "# relsim-vector-cache v1"
 VECTOR_LEN = 2 * TERM_COUNT
 _ROW = "\t".join(["%d"] * VECTOR_LEN)  # a row's counts as save writes them: str() of each
 _BLOCK = 64  # body lines that load_cache checks and parses at once
 _MAX_DIGITS = 18  # a count of at most 18 digits fits int64
+_COUNT_DIGITS = len(str(MAX_COUNT))
 
 
 @dataclass
@@ -64,13 +64,14 @@ class VectorCache:
 
 
 def _row_counts(text: str) -> tuple[int, ...]:
-    """The counts of a row as save writes them: ASCII digits without a leading zero."""
-    try:  # JSON integers have no leading zero; one json.loads beats int() per field
-        if text.isascii() and text.replace("\t", "").isdigit():
-            return tuple(json.loads("[" + text.replace("\t", ",") + "]"))
-    except ValueError:
-        pass
-    raise ValueError("hit counts must be ASCII digits without leading zeros")
+    """The counts of a row as save writes them, ASCII digits without a
+    leading zero, that keep hit_counts' rule."""
+    fields = text.split("\t")
+    if not (text.isascii() and all(f.isdigit() and (f[0] != "0" or f == "0") for f in fields)):
+        raise ValueError("hit counts must be ASCII digits without leading zeros")
+    # int() refuses text of over 4,300 digits, so a field with more digits than
+    # MAX_COUNT, which is past it, goes to hit_counts as MAX_COUNT + 1.
+    return hit_counts([int(f) if len(f) <= _COUNT_DIGITS else MAX_COUNT + 1 for f in fields])
 
 
 def _full_row(counts: tuple[int, ...]) -> tuple[int, ...]:

@@ -26,8 +26,13 @@ TIE_BREAKS = ("random", "first")
 
 
 def question_rng(seed: int, ordinal: int) -> random.Random:
-    """Per-probe generator; depends only on the global seed and ordinal."""
-    return random.Random(seed ^ ordinal)
+    """Per-probe generator; depends only on the global seed and ordinal.
+
+    It is seeded with the text "seed:ordinal", so distinct pairs draw
+    distinct streams (seed 1, probe 0 is not seed 0, probe 1), and a str
+    seed gives the same stream in every process.
+    """
+    return random.Random(f"{seed}:{ordinal}")
 
 
 def cosines(a, b) -> np.ndarray:
@@ -45,10 +50,13 @@ def cosines(a, b) -> np.ndarray:
 def top_two(scores: Sequence[float], rng: random.Random | None = None) -> tuple[int, int, float]:
     """The two highest-scoring positions and the margin between them.
 
-    Positions rank by descending score. Exact ties are broken by a random
-    permutation of the positions, rng.sample(range(n), n), or by ascending
-    position when rng is None; the permutation is drawn only when a tie
-    touches the top two. A single score is its own runner-up, at margin 0.
+    Positions rank by descending score. Only the m positions scoring at
+    least the second-highest score can come first or second, and their
+    exact ties are broken by a random permutation of those m in position
+    order, rng.sample(range(m), m), or by ascending position when rng is
+    None. The permutation is drawn only when a tie touches the top two, so
+    the outcome does not depend on any score below the second-highest. A
+    single score is its own runner-up, at margin 0.
     """
     scores = np.asarray(scores, dtype=float)
     n = len(scores)
@@ -58,9 +66,10 @@ def top_two(scores: Sequence[float], rng: random.Random | None = None) -> tuple[
         return 0, 0, 0.0
     # The positions scoring at least the second-highest score.
     top = np.flatnonzero(scores >= np.partition(scores, n - 2)[n - 2]).tolist()
-    keys = range(n)
+    order = range(len(top))
     if rng is not None and len(set(scores[top].tolist())) < len(top):
-        keys = rng.sample(range(n), n)
+        order = rng.sample(order, len(top))
+    keys = dict(zip(top, order))
     best, second = sorted(top, key=lambda i: (-scores[i], keys[i]))[:2]
     return best, second, float(scores[best] - scores[second])
 
@@ -70,9 +79,11 @@ def nearest_two(table, seed: int = 0, tie_break: str = "random",
     """top_two of each row of a probes x positions float array, over the row's
     candidates (not -inf, one at least), as arrays best, second (ints) and margin.
 
-    Row k is probe start + k. tie_break "random" breaks its exact ties with
-    question_rng(seed, start + k), drawn only when a tie touches the best
-    two; "first" prefers the lower position, as argmax does.
+    Row k is probe start + k. tie_break "random" breaks its exact ties as
+    top_two does, with question_rng(seed, start + k): the draw orders only
+    the candidates scoring at least the row's second-best score, and is made
+    only when a tie touches the best two. "first" prefers the lower
+    position, as argmax does.
     """
     if tie_break not in TIE_BREAKS:
         raise ValueError(f"tie_break must be one of {TIE_BREAKS}, got {tie_break!r}")
@@ -86,9 +97,10 @@ def nearest_two(table, seed: int = 0, tie_break: str = "random",
     if tie_break == "random":
         tied = ~lone & ((margin == 0) | (np.count_nonzero(table >= s2[:, None], axis=1) > 2))
         for k in np.flatnonzero(tied).tolist():
-            candidates = np.flatnonzero(table[k] > -np.inf)
-            b, s, margin[k] = top_two(table[k, candidates], question_rng(seed, start + k))
-            best[k], second[k] = candidates[b], candidates[s]
+            # top_two reads only the candidates scoring at least the second-best.
+            top = np.flatnonzero(table[k] >= s2[k])
+            b, s, margin[k] = top_two(table[k, top], question_rng(seed, start + k))
+            best[k], second[k] = top[b], top[s]
     return best, second, margin
 
 

@@ -13,11 +13,12 @@ once, and the two members are joined once per word order and term length.
 One gather of the tokens between the members then checks every term of
 that length against a table of the vocabulary words each term unit
 matches. Any other provider is called once per phrase string, and each
-count it returns must be a non-negative whole number (hit_counts).
+count it returns must keep the count rule (hit_counts).
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -110,10 +111,15 @@ def generate_queries(pair: WordPair, terms: Sequence[str]) -> list[str]:
     return queries
 
 
+MAX_COUNT = int(sys.float_info.max)  # the largest count whose ln(count + 1) a float holds
+
+
 def hit_counts(raw: Sequence) -> tuple[int, ...]:
-    """The count rule of RelationVector.from_raw and VectorCache.put: each
-    count is a whole number, not negative, kept as an int. A value must equal
-    its int(), so 2.0 and True pass as 2 and 1; 2.7, NaN, inf and "3" raise ValueError."""
+    """The count rule of RelationVector.from_raw, VectorCache.put and
+    load_cache: each count is a whole number from 0 to MAX_COUNT, kept as an
+    int, so that it becomes a finite vector element. A value must equal its
+    int(), so 2.0 and True pass as 2 and 1; 2.7, NaN, inf, "3" and 2**1024
+    raise ValueError."""
     try:
         counts = tuple(map(int, raw))
         whole = counts == tuple(raw)
@@ -123,6 +129,8 @@ def hit_counts(raw: Sequence) -> tuple[int, ...]:
         raise ValueError("hit counts must be whole numbers")
     if min(counts, default=0) < 0:
         raise ValueError("hit counts must be non-negative")
+    if max(counts, default=0) > MAX_COUNT:
+        raise ValueError("hit counts must be at most the largest float, about 1.8e308")
     return counts
 
 

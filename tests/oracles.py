@@ -3,6 +3,7 @@ package's own code paths."""
 
 import math
 import re
+import sys
 
 
 def oracle_tokenize(text):
@@ -123,11 +124,20 @@ def oracle_margin_rule(first, second, margin, threshold):
 
 
 def oracle_ranked(scores, rng=None):
-    """Indices by descending score; exact ties broken by a permutation
-    drawn with rng.sample(range(n), n), or by ascending index."""
-    n = len(scores)
-    tiebreak = list(range(n)) if rng is None else rng.sample(range(n), n)
-    return sorted(range(n), key=lambda i: (-scores[i], tiebreak[i]))
+    """Indices by descending score; exact ties broken by ascending index,
+    except with an rng when the group of indices scoring at least the
+    second-best score holds a tie. That group's m indices, in ascending
+    order, then take the keys of one rng.sample(range(m), m), and its ties
+    are broken by key. The first two indices are the best and the second."""
+    by_index = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
+    if rng is None or len(scores) < 2:
+        return by_index
+    group = [i for i in range(len(scores)) if scores[i] >= scores[by_index[1]]]
+    if len({scores[i] for i in group}) == len(group):
+        return by_index
+    keys = dict(zip(group, rng.sample(range(len(group)), len(group))))
+    # Every index tied with one of the group is in the group.
+    return sorted(range(len(scores)), key=lambda i: (-scores[i], keys.get(i, i)))
 
 
 def oracle_tally(labels, guess_sets, classes):
@@ -165,7 +175,9 @@ def oracle_load_cache(path):
     raises ValueError with the text of load_cache's error for it. A row is
     checked key first (a member rule, then a repeat), then its count text
     (each tab-separated field ASCII digits without a leading zero), then
-    the number of counts (128)."""
+    each count against the largest float (compared as digit text, by length
+    and then lexicographically), then the number of counts (128)."""
+    largest = str(int(sys.float_info.max))
     with open(path, encoding="utf-8") as f:
         lines = f.read().splitlines()
     lineno = 1
@@ -185,16 +197,14 @@ def oracle_load_cache(path):
             error = f"repeated key {key!r}"
         else:
             fields = text.split("\t")
-            try:
-                if not all(re.fullmatch("0|[1-9][0-9]*", f) for f in fields):
-                    raise ValueError
-                counts = tuple(int(f) for f in fields)  # int() refuses over 4300 digits
-            except ValueError:
+            if not all(re.fullmatch("0|[1-9][0-9]*", f) for f in fields):
                 error = "hit counts must be ASCII digits without leading zeros"
+            elif any((len(f), f) > (len(largest), largest) for f in fields):
+                error = "hit counts must be at most the largest float, about 1.8e308"
+            elif len(fields) == 128:
+                entries[key] = tuple(int(f) for f in fields)
+                continue
             else:
-                if len(counts) == 128:
-                    entries[key] = counts
-                    continue
-                error = f"expected 128 counts, got {len(counts)}"
+                error = f"expected 128 counts, got {len(fields)}"
         raise ValueError(f"{path}:{lineno}: {error}")
     return entries

@@ -1,6 +1,7 @@
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -810,6 +811,22 @@ class TestCacheRows:
         code, _, err = run_main(capsys, "sat", "solve", str(q), "--cache", str(cache))
         assert code == 1, err
         assert f"{cache}:{lineno}: " in err and "internal error" not in err
+
+    def test_count_past_the_largest_float_exits_one(self, capsys, tmp_path):
+        """A used row of the golden cache with a 401-digit count: the count
+        cannot become a vector element, so the cache is an input error."""
+        golden = Path(__file__).parent / "golden"
+        lines = (golden / "expected" / "vector_cache.txt").read_text().splitlines()
+        lineno = next(i for i, line in enumerate(lines, 1)
+                      if line.startswith("sabwex:tovtov\t"))
+        key, _, counts = lines[lineno - 1].partition("\t")
+        lines[lineno - 1] = "\t".join([key, "1" * 401, *counts.split("\t")[1:]])
+        cache = tmp_path / "cache.tsv"
+        cache.write_text("\n".join(lines) + "\n")
+        code, out, err = run_main(capsys, "nounmod", "eval", str(golden / "labeled.tsv"),
+                                  "--cache", str(cache))
+        assert code == 1 and out == "", err
+        assert f"{cache}:{lineno}: hit counts must be at most the largest float" in err
 
     def test_cache_without_its_magic_line_exits_one(self, capsys, sat_setup):
         q, cache = sat_setup

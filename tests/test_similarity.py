@@ -2,7 +2,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from relsim.analogy import AnalogyQuestion, solve_all
@@ -45,14 +45,16 @@ class TestTopTwo:
     @given(st.lists(st.integers(0, 3), min_size=1, max_size=12), st.integers(0, 50))
     def test_draws_rng_only_for_a_tie_in_the_top_two(self, values, seed):
         """A passed rng is left as it was unless a tie touches the best
-        two scores; then it is advanced by one sample(range(n), n)."""
+        two scores; then it is advanced by one sample(range(m), m), where m
+        counts the scores at least the second-best."""
         scores = [v / 4 for v in values]
         n = len(scores)
         rng, expected = random.Random(seed), random.Random(seed)
         top_two(scores, rng)
         ranked = sorted(scores, reverse=True) + [None]
         if n > 1 and ranked[1] in (ranked[0], ranked[2]):
-            expected.sample(range(n), n)
+            m = sum(s >= ranked[1] for s in scores)
+            expected.sample(range(m), m)
         assert rng.getstate() == expected.getstate()
 
     def test_single_score_is_its_own_runner_up(self):
@@ -61,6 +63,48 @@ class TestTopTwo:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             top_two([])
+
+
+class TestTieDraw:
+    """The random tie rule draws over the positions scoring at least the
+    second-best score, with a generator seeded by (seed, ordinal) alone."""
+
+    @given(st.lists(st.sampled_from([0.0, 0.1, 0.25, 0.5]), min_size=2, max_size=8),
+           st.sampled_from(["add", "remove", "rescore"]), st.integers(0, 8),
+           st.sampled_from([0.05, 0.3, 1.0]), st.integers(0, 200), st.integers(0, 100))
+    @example(scores=[0.5, 0.5, 0.1], change="add", at=3, drop=0.5, seed=0, ordinal=0)
+    def test_candidates_below_the_second_best_do_not_move_the_top_two(
+            self, scores, change, at, drop, seed, ordinal):
+        """Adding, removing or re-scoring a candidate that scores below the
+        second-best leaves the best, the second and the margin as they were."""
+        def top(row):
+            best, second, margin = nearest_two(np.array([row]), seed, "random", start=ordinal)
+            return best[0], second[0], margin[0]
+
+        best, second, margin = top(scores)
+        below = [j for j, s in enumerate(scores) if s < scores[second]]
+        assume(change == "add" or below)
+        ids, changed = list(range(len(scores))), list(scores)
+        if change == "add":
+            ids.insert(at % (len(scores) + 1), len(scores))
+            changed.insert(at % (len(scores) + 1), scores[second] - drop)
+        elif change == "remove":
+            del ids[below[at % len(below)]], changed[below[at % len(below)]]
+        else:
+            changed[below[at % len(below)]] = scores[second] - drop
+        new_best, new_second, new_margin = top(changed)
+        assert (ids[new_best], ids[new_second], new_margin) == (best, second, margin)
+
+    def test_question_rng_streams_differ_per_seed_and_ordinal(self):
+        def stream(seed, ordinal):
+            rng = question_rng(seed, ordinal)
+            return tuple(rng.random() for _ in range(3))
+
+        grid = [(seed, ordinal) for seed in range(-2, 6) for ordinal in range(8)]
+        streams = [stream(*p) for p in grid]
+        assert len(set(streams)) == len(grid)
+        assert stream(1, 0) != stream(0, 1)
+        assert streams == [stream(*p) for p in grid]
 
 
 class TestPairMatrix:

@@ -2,6 +2,7 @@ import math
 import random
 import re
 import string
+import sys
 import tempfile
 from pathlib import Path
 
@@ -26,6 +27,7 @@ from oracles import LINE_BREAKS, oracle_cosine, oracle_load_cache, oracle_pair_m
 from test_acceptance import PLANT_PAIRS, planted_corpus
 
 TERMS = default_joining_terms()
+LARGEST = int(sys.float_info.max)  # the largest count whose vector element is finite
 
 words = st.text(alphabet="abcdefghijklmnopqrstuvwxyz", min_size=1, max_size=20)
 
@@ -286,10 +288,10 @@ class TestBuildVector:
 
 
 class TestCountRule:
-    """A hit count is a whole number, not negative. A value must equal its
-    int(), so 2.0 and True pass as 2 and 1. Text is not a count: only
-    load_cache reads a cache row's count text, which must be ASCII digits
-    without a leading zero."""
+    """A hit count is a whole number from 0 to the largest float. A value
+    must equal its int(), so 2.0 and True pass as 2 and 1. Text is not a
+    count: only load_cache reads a cache row's count text, which must be
+    ASCII digits without a leading zero."""
 
     @staticmethod
     def write_row(tmp_path, fields):
@@ -309,6 +311,35 @@ class TestCountRule:
             RelationVector.from_raw(WordPair("a", "b"), raw)
         with pytest.raises(ValueError):
             VectorCache("d", "t").put(WordPair("a", "b"), raw + [0] * (128 - len(raw)))
+
+    @pytest.mark.parametrize("count", [LARGEST + 1, 2 ** 1024, 10 ** 400, 10 ** 5000],
+                             ids=["largest+1", "2**1024", "401-digits", "5001-digits"])
+    def test_count_past_the_largest_float_rejected(self, count):
+        """A count must become a finite vector element, ln(count + 1)."""
+        for raw in ([count], [0] * 127 + [count]):
+            with pytest.raises(ValueError, match="largest float"):
+                RelationVector.from_raw(WordPair("a", "b"), raw)
+        with pytest.raises(ValueError, match="largest float"):
+            VectorCache("d", "t").put(WordPair("a", "b"), [count] + [0] * 127)
+
+    def test_largest_float_count_round_trips(self, tmp_path):
+        cache = VectorCache("d", "t")
+        cache.put(WordPair("a", "b"), [LARGEST] + [0] * 127)
+        cache.save(tmp_path / "cache.tsv")
+        loaded = load_cache(tmp_path / "cache.tsv")
+        assert loaded.entries == cache.entries
+        assert loaded.vector(WordPair("a", "b")).r[0] == math.log1p(sys.float_info.max)
+
+    @pytest.mark.parametrize("text", [str(LARGEST + 1), "9" * 309, "1" + "0" * 309, "1" * 401,
+                                      "1" * 4300, "1" * 4301, "1" * 5000],
+                             ids=["largest+1", "309-nines", "310-digits", "401-digits",
+                                  "4300-digits", "4301-digits", "5000-digits"])
+    def test_count_text_past_the_largest_float_rejected(self, tmp_path, text):
+        for fields in ([text] + ["1"] * 127, ["1"] * 127 + [text]):
+            path = self.write_row(tmp_path, fields)
+            with pytest.raises(DataFormatError, match=f"^{re.escape(str(path))}:4: hit counts "
+                               "must be at most the largest float"):
+                load_cache(path)
 
     def test_whole_values_are_kept_as_ints(self):
         raw = [2.0, True, np.int64(3), np.float64(4.0), 0]
@@ -350,8 +381,8 @@ class TestLoadCache:
     """load_cache reads a block of rows at a time, and the row-by-row oracle
     one row at a time: both give the same entries, or the same error."""
 
-    BAD = ["05", "00", "", "+5", "\u0665", "-1", " 5", "127 fields", "129 fields",
-           "bad key", "repeated key"]
+    BAD = ["05", "00", "", "+5", "\u0665", "-1", " 5", str(LARGEST + 1), "1" * 4301,
+           "127 fields", "129 fields", "bad key", "repeated key"]
 
     @given(st.one_of(st.sampled_from([0, 1, 63, 64, 65, 127, 128, 129, 200]),
                      st.integers(0, 200)),
