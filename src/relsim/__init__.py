@@ -14,7 +14,7 @@ from .vectors import (LocalIndexProvider, RelationVector, WordPair,
                       build_vector, cosine, generate_queries, stem)
 from .analogy import (AnalogyQuestion, EvalReport, GuessOutcome,
                       cumulative_top_k, decide, evaluate, load_questions,
-                      rank_pool, raw_sat_score)
+                      pool_ranks, rank_pool, raw_sat_score)
 from .nounmod import (LabeledNounModifier, group_of, load_labeled_pairs, loocv,
                       macroaverage)
 from .cache import VectorCache, load_cache

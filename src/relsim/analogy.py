@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import DataFormatError
 from .fileio import read_rows
-from .similarity import cosines, guess_count, nearest_two, top_two
+from .similarity import BLOCK, cosines, guess_count, nearest_two, top_two
 from .vectors import RelationVector, WordPair
 
 CHOICE_LETTERS = "abcdefghijklmnopqrstuvwxyz"
@@ -144,13 +144,45 @@ def raw_sat_score(correct: int, incorrect: int) -> float:
     return correct - incorrect / 4
 
 
+def _pool_order(table: np.ndarray) -> np.ndarray:
+    """Each row of a stems x pool cosine table as pool indices by descending
+    cosine, an exact tie going to the lower pool index: the stable argsort
+    of the negated cosines. This is the one statement of the pool-ranking
+    rule; it draws nothing, so no seed applies."""
+    return np.argsort(-table, axis=-1, kind="stable")
+
+
+def pool_ranks(questions: Sequence[AnalogyQuestion],
+               vectors: dict[str, RelationVector]) -> dict[int, int]:
+    """The pool-ranking evaluation: question index -> the 1-based rank of the
+    question's correct pair among the pool, ranked by its stem.
+
+    A question whose stem vector is all zeros is left out; the correct pairs
+    of the others form the pool, in question order. A rank is 1, plus the
+    pool cosines above that of the stem's own pair, plus the equal ones at a
+    lower pool index (_pool_order). The stems x pool table is built BLOCK
+    stems at a time, so memory grows linearly with the pool.
+    """
+    usable = [i for i, q in enumerate(questions) if not vectors[q.stem.key()].is_zero()]
+    stems = np.array([vectors[questions[i].stem.key()].r for i in usable])
+    pool = np.array([vectors[questions[i].choices[questions[i].answer].key()].r
+                     for i in usable])
+    ranks = []
+    for lo in range(0, len(usable), BLOCK):
+        order = _pool_order(cosines(stems[lo:lo + BLOCK, None], pool))
+        own = np.arange(lo, lo + len(order))[:, None]
+        ranks += (np.argmax(order == own, axis=1) + 1).tolist()
+    return dict(zip(usable, ranks))
+
+
 def rank_pool(stem_vec: RelationVector,
               pool: Sequence[RelationVector]) -> list[int]:
-    """Pool indices sorted by descending cosine to the stem; ties broken by
-    ascending pool index."""
+    """Pool indices sorted by descending cosine to the stem, ties by
+    ascending pool index: _pool_order for one stem. pool_ranks ranks every
+    stem at once."""
     if not pool:
         raise ValueError("pool must be non-empty")
-    return np.argsort(-cosines(stem_vec.r, [v.r for v in pool]), kind="stable").tolist()
+    return _pool_order(cosines(stem_vec.r, [v.r for v in pool])).tolist()
 
 
 def rank_of(ranking: Sequence[int], target: int) -> int:

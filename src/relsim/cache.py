@@ -50,6 +50,14 @@ class VectorCache:
         """The stored row as a vector; put or load_cache checked it already."""
         return RelationVector.from_counts(pair, self.entries[pair.key()])
 
+    def vectors_for(self, pairs: Sequence[WordPair]) -> dict[str, RelationVector]:
+        """Each pair's vector by key; a pair the cache lacks is a
+        DataFormatError that names every such pair."""
+        missing = sorted({p.key() for p in pairs if p not in self})
+        if missing:
+            raise DataFormatError("missing cached vectors for pairs: " + ", ".join(missing))
+        return {p.key(): self.vector(p) for p in pairs}
+
     def save(self, path: str | Path) -> None:
         lines = [_MAGIC,
                  f"# corpus: {self.corpus_digest}",

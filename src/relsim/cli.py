@@ -120,15 +120,11 @@ def vectors_cmd(pairs_file, index_path, cache_path, fmt, mode, terms_path):
                f"{len(pairs) - len(new)} reused)")
 
 
-def _cached_vectors(pairs, cache_path, index_path, terms_path):
-    """Each pair's cached vector by key, from a cache checked against --index and --terms."""
+def _checked_cache(cache_path, index_path, terms_path) -> VectorCache:
+    """The cache, checked against --index and --terms where given."""
     digest = load_index(index_path).corpus_digest if index_path else None
     checksum = terms_checksum(_load_terms(terms_path)) if index_path or terms_path else None
-    cache = load_cache(cache_path, digest, checksum)
-    missing = sorted({p.key() for p in pairs if p not in cache})
-    if missing:
-        raise DataFormatError("missing cached vectors for pairs: " + ", ".join(missing))
-    return {p.key(): cache.vector(p) for p in pairs}
+    return load_cache(cache_path, digest, checksum)
 
 
 def _sweep_grid(ctx, param, spec):
@@ -201,8 +197,8 @@ def sat_solve(questions_file, cache_path, index_path, terms_path, threshold,
     if csv_path:
         check_writable(csv_path)
     questions = analogy.load_questions(questions_file)
-    vectors = _cached_vectors([p for q in questions for p in q.pairs()],
-                              cache_path, index_path, terms_path)
+    vectors = _checked_cache(cache_path, index_path, terms_path).vectors_for(
+        [p for q in questions for p in q.pairs()])
 
     if sweep_thresholds is not None:
         _emit_sweep(sweep.sat_sweep(questions, vectors, sweep_thresholds, seed, tie_break),
@@ -230,21 +226,14 @@ def sat_rank(questions_file, cache_path, index_path, terms_path, top):
     """Pool-ranking evaluation: each stem ranks the pool of all correct
     choice pairs; report how often its own pair lands in the top k."""
     questions = analogy.load_questions(questions_file)
-    vectors = _cached_vectors([p for q in questions for p in q.pairs()],
-                              cache_path, index_path, terms_path)
+    vectors = _checked_cache(cache_path, index_path, terms_path).vectors_for(
+        [p for q in questions for p in q.pairs()])
+    ranks = analogy.pool_ranks(questions, vectors)
 
-    usable = [q for q in questions if not vectors[q.stem.key()].is_zero()]
-    dropped = len(questions) - len(usable)
-    pool = [vectors[q.choices[q.answer].key()] for q in usable]
-    ranks = []
-    for i, q in enumerate(usable):
-        ranking = analogy.rank_pool(vectors[q.stem.key()], pool)
-        ranks.append(analogy.rank_of(ranking, i))
-
-    click.echo(f"questions: {len(usable)} (dropped {dropped} with zero stem vectors)")
+    total = len(ranks)
+    click.echo(f"questions: {total} (dropped {len(questions) - total} with zero stem vectors)")
     click.echo("rank\tmatches\tmatches%\tcumulative\tcumulative%")
-    total = len(usable)
-    for row in analogy.cumulative_top_k(ranks, top):
+    for row in analogy.cumulative_top_k(list(ranks.values()), top):
         m_pct = _pct(row.matches / total if total else 0.0)
         click.echo(f"{row.k}\t{row.matches}\t{m_pct}\t{row.cumulative}\t{_pct(row.cumulative_pct)}")
 
@@ -272,8 +261,8 @@ def nounmod_eval(data_file, cache_path, index_path, terms_path, granularity,
     if len(items) < 2:
         raise DataFormatError(f"{data_file}: need at least two labelled items, "
                               f"got {len(items)}")
-    vectors = _cached_vectors([item.pair() for item in items],
-                              cache_path, index_path, terms_path)
+    vectors = _checked_cache(cache_path, index_path, terms_path).vectors_for(
+        [item.pair() for item in items])
     vecs = [vectors[item.pair().key()] for item in items]
     labels = [item.label for item in items]
     gran = int(granularity)

@@ -223,10 +223,19 @@ class PositionalIndex:
 
     def token_ids(self) -> np.ndarray:
         """The term id of the token at each global position (int32), the
-        inverse of the postings; built anew on each call."""
-        tokens = np.empty(self.token_count, dtype=np.int32)
+        inverse of the postings; built anew on each call.
+
+        Every position must lie in exactly one term's postings. load_index
+        does not check that, as it would cost about half a load; here a
+        position that no term covers (so another is listed twice) raises
+        DataFormatError."""
+        tokens = np.full(self.token_count, -1, dtype=np.int32)
         tokens[self.positions] = np.repeat(np.arange(self.vocabulary_size, dtype=np.int32),
                                            np.diff(self.offsets))
+        if (tokens < 0).any():
+            raise DataFormatError("index positions do not cover the corpus: a position lies "
+                                  "in no term's postings; rebuild the index with "
+                                  "`relsim index build`")
         return tokens
 
     def unit_term_ids(self, pattern: TokenPattern) -> list[int]:
@@ -436,7 +445,8 @@ def save_index(index: PositionalIndex, path: str | Path) -> None:
 
 def load_index(path: str | Path) -> PositionalIndex:
     """Read an index written by `save_index`, checking that its arrays are
-    consistent; any fault raises DataFormatError."""
+    consistent; any fault raises DataFormatError. That the positions cover
+    the corpus once each is left to PositionalIndex.token_ids."""
     try:
         with Path(path).open("rb") as f:
             magic = f.read(len(INDEX_MAGIC))

@@ -17,7 +17,7 @@ import numpy as np
 from .analogy import f_measure
 from .errors import DataFormatError
 from .fileio import read_rows
-from .similarity import cosines, guess_count, nearest_two
+from .similarity import BLOCK, cosines, guess_count, nearest_two
 from .vectors import RelationVector, WordPair
 
 # (class name, abbreviation, example phrase, group)
@@ -58,7 +58,6 @@ GROUPS = ("causality", "participant", "quality", "spatial", "temporality")
 
 _GROUP_OF = {abbr: group for _, abbr, _, group in RELATION_CLASSES}
 ALL_ABBREVIATIONS = tuple(abbr for _, abbr, _, _ in RELATION_CLASSES)
-LOOCV_BLOCK = 64  # probes scored at once: LOOCV memory is this many cosines per item
 
 
 def group_of(label: str) -> str:
@@ -144,8 +143,8 @@ def loocv_thresholds(vectors: Sequence[RelationVector], labels: Sequence[str],
     # -inf masks each probe itself; with two items the lone neighbour is also the runner-up (1-NN).
     rows = np.array([v.r for v in vectors])
     blocks = []
-    for lo in range(0, len(rows), LOOCV_BLOCK):
-        table = cosines(rows[lo:lo + LOOCV_BLOCK, None], rows)
+    for lo in range(0, len(rows), BLOCK):
+        table = cosines(rows[lo:lo + BLOCK, None], rows)
         np.fill_diagonal(table[:, lo:], -np.inf)
         blocks.append(nearest_two(table, seed, tie_break, start=lo))
         del table  # so that cosines builds the next block's table without this one alive

@@ -23,6 +23,7 @@ from typing import Sequence
 import numpy as np
 
 TIE_BREAKS = ("random", "first")
+BLOCK = 64  # probes scored at once: a blocked table holds this many cosines per candidate
 
 
 def question_rng(seed: int, ordinal: int) -> random.Random:
@@ -97,10 +98,7 @@ def nearest_two(table, seed: int = 0, tie_break: str = "random",
     if tie_break == "random":
         tied = ~lone & ((margin == 0) | (np.count_nonzero(table >= s2[:, None], axis=1) > 2))
         for k in np.flatnonzero(tied).tolist():
-            # top_two reads only the candidates scoring at least the second-best.
-            top = np.flatnonzero(table[k] >= s2[k])
-            b, s, margin[k] = top_two(table[k, top], question_rng(seed, start + k))
-            best[k], second[k] = top[b], top[s]
+            best[k], second[k], margin[k] = top_two(table[k], question_rng(seed, start + k))
     return best, second, margin
 
 

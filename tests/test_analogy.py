@@ -5,14 +5,16 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relsim.analogy import (AnalogyQuestion, GuessOutcome, cumulative_top_k,
                             decide, evaluate, f_measure, load_questions,
-                            rank_pool, raw_sat_score, solve_all)
+                            pool_ranks, rank_pool, raw_sat_score, solve_all)
 from relsim.errors import DataFormatError
-from relsim.similarity import question_rng, top_two
+from relsim.similarity import BLOCK, question_rng, top_two
 from relsim.sweep import NOUNMOD_GRID, SAT_GRID, grid_thresholds, sat_sweep
-from relsim.vectors import RelationVector, WordPair
+from relsim.vectors import RelationVector, WordPair, cosine
 
 from oracles import oracle_cosine
 
@@ -188,6 +190,62 @@ class TestRankPool:
         assert sorted(order) == list(range(15))
         ranked_scores = [cosine(stem_v, pool[i]) for i in order]
         assert all(a >= b for a, b in zip(ranked_scores, ranked_scores[1:]))
+
+
+@st.composite
+def pool_questions(draw):
+    """Questions with two choices each and their vectors, drawn from a few
+    small base rows (the all-zero row among them), so that stems and correct
+    pairs repeat exactly and some are all zeros. Some draws hold more than
+    2 * BLOCK questions, so that the stems span several blocks."""
+    dim = draw(st.integers(1, 4))
+    row = st.lists(st.integers(0, 3), min_size=dim, max_size=dim)
+    base = draw(st.lists(row, min_size=1, max_size=5)) + [[0] * dim]
+    n = draw(st.one_of(st.integers(0, 12), st.integers(2 * BLOCK + 1, 2 * BLOCK + 30)))
+    pick = st.integers(0, len(base) - 1)
+    questions, vectors = [], {}
+    for i in range(n):
+        stem = WordPair(f"s{i}", "t")
+        choices = (WordPair(f"a{i}", "b"), WordPair(f"c{i}", "d"))
+        for pair in (stem, *choices):
+            vectors[pair.key()] = RelationVector.from_raw(pair, base[draw(pick)])
+        questions.append(AnalogyQuestion(stem, choices, draw(st.integers(0, 1))))
+    return questions, vectors
+
+
+class TestPoolRanks:
+    @settings(max_examples=40, deadline=None)
+    @given(pool_questions())
+    def test_matches_reference_sort(self, drawn):
+        """Each usable stem's rank of its own correct pair, by a sort of the
+        pool on (descending cosine, pool index)."""
+        questions, vectors = drawn
+        usable = [i for i, q in enumerate(questions) if not vectors[q.stem.key()].is_zero()]
+        pool = [vectors[questions[i].choices[questions[i].answer].key()] for i in usable]
+        expected = {}
+        for n, i in enumerate(usable):
+            stem = vectors[questions[i].stem.key()]
+            order = sorted(range(len(pool)), key=lambda j: (-cosine(stem, pool[j]), j))
+            expected[i] = order.index(n) + 1
+        assert pool_ranks(questions, vectors) == expected
+
+    def test_exact_tie_goes_to_the_lower_pool_index(self):
+        stem, pair = WordPair("s", "t"), WordPair("a", "b")
+        questions = [AnalogyQuestion(stem, (pair, WordPair("c", "d")), 0)] * 3
+        vectors = {p.key(): vec([1, 2]) for p in questions[0].pairs()}
+        assert pool_ranks(questions, vectors) == {0: 1, 1: 2, 2: 3}
+
+    def test_zero_stems_leave_the_pool(self):
+        questions = [AnalogyQuestion(WordPair(f"s{i}", "t"),
+                                     (WordPair(f"a{i}", "b"), WordPair(f"c{i}", "d")), 0)
+                     for i in range(3)]
+        raws = {"s0": [0, 0], "a0": [1, 0], "s1": [1, 0], "a1": [0, 1],
+                "s2": [0, 1], "a2": [1, 0]}
+        vectors = {p.key(): vec(raws.get(p.x, [1, 1])) for q in questions for p in q.pairs()}
+        # Pool: a1 (0, 1), a2 (1, 0); a0 goes with its zero stem s0.
+        assert pool_ranks(questions, vectors) == {1: 2, 2: 2}
+        zero = {k: vec([0, 0]) for k in vectors}
+        assert pool_ranks(questions, zero) == {} and pool_ranks([], {}) == {}
 
 
 class TestCumulativeTopK:

@@ -259,6 +259,23 @@ class TestSatSolve:
         assert result.exit_code == 0, result.output
         assert "cumulative" in result.output
 
+    def test_rank_with_only_zero_stems(self, runner, tmp_path):
+        q = tmp_path / "questions.tsv"
+        q.write_text("a:b\tc:d\te:f\ta\ng:h\ti:j\tk:l\tb\n")
+        cache = VectorCache("digest", "checksum")
+        for key in ("a:b", "g:h"):
+            cache.put(WordPair.from_key(key), [0] * 128)
+        for key in ("c:d", "e:f", "i:j", "k:l"):
+            cache.put(WordPair.from_key(key), [1] * 128)
+        cache.save(tmp_path / "cache.tsv")
+        result = runner.invoke(cli, ["sat", "rank", str(q), "--cache", str(tmp_path / "cache.tsv"),
+                                     "--top", "2"])
+        assert result.exit_code == 0, result.output
+        assert result.output == ("questions: 0 (dropped 2 with zero stem vectors)\n"
+                                 "rank\tmatches\tmatches%\tcumulative\tcumulative%\n"
+                                 "1\t0\t0.0%\t0\t0.0%\n"
+                                 "2\t0\t0.0%\t0\t0.0%\n")
+
 
 class TestNounmodEval:
     @pytest.fixture
@@ -632,6 +649,30 @@ class TestInputErrors:
                                 "--cache", str(tmp_path / "cache.tsv"))
         assert code == 1, err
         assert f"{bad}: vocabulary ends do not cut the vocabulary text" in err
+
+    def test_index_whose_positions_miss_a_token_exits_one(self, capsys, built_index, tmp_path):
+        """Each term's positions ascend and lie in the corpus, but one position
+        is listed twice and the next one nowhere: load_index accepts that, and
+        counting refuses it."""
+        with built_index.open("rb") as f:
+            assert f.read(len(INDEX_MAGIC)) == INDEX_MAGIC
+            arrays = {name: np.lib.format.read_array(f) for name, _ in _FILE_ARRAYS}
+        positions, offsets = arrays["positions"], arrays["offsets"]
+        first = positions[offsets[:-1]]  # each term's first position
+        positions[offsets[np.flatnonzero(first > 0)[0]]] -= 1
+        bad = tmp_path / "bad.idx"
+        with bad.open("wb") as f:
+            f.write(INDEX_MAGIC)
+            for name, _ in _FILE_ARRAYS:
+                np.lib.format.write_array(f, arrays[name])
+        pairs = tmp_path / "pairs.tsv"
+        pairs.write_text("mason\tstone\ntraffic\tstreet\n")
+        cache = tmp_path / "cache.tsv"
+        code, _, err = run_main(capsys, "vectors", str(pairs), "--index", str(bad),
+                                "--cache", str(cache))
+        assert code == 1, err
+        assert "do not cover the corpus" in err and "rebuild the index" in err
+        assert not cache.exists()
 
     @pytest.mark.parametrize("term, shown", [("ab*", "'ab*'"), ("a**b", "'a**b'"),
                                              ("--", "'--'")])

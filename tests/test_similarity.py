@@ -6,8 +6,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from relsim.analogy import AnalogyQuestion, solve_all
-from relsim.nounmod import LOOCV_BLOCK, loocv, loocv_thresholds
-from relsim.similarity import cosines, guess_count, nearest_two, question_rng, top_two
+from relsim.nounmod import loocv, loocv_thresholds
+from relsim.similarity import BLOCK, cosines, guess_count, nearest_two, question_rng, top_two
 from relsim.sweep import (NOUNMOD_GRID, SAT_GRID, grid_thresholds,
                           nounmod_sweep, sat_sweep)
 from relsim.vectors import RelationVector, WordPair, cosine
@@ -335,9 +335,9 @@ class TestScoreTables:
     @pytest.mark.parametrize("seed", [0, 3])
     def test_loocv_over_several_blocks(self, seed):
         rng = np.random.default_rng(seed)
-        n = 2 * LOOCV_BLOCK + 20
+        n = 2 * BLOCK + 20
         raw = rng.integers(0, 3, (n, 3))
-        for edge in (LOOCV_BLOCK, 2 * LOOCV_BLOCK):  # the same row on both sides of an edge
+        for edge in (BLOCK, 2 * BLOCK):  # the same row on both sides of an edge
             raw[edge] = raw[edge - 1]
         vectors = [vec(r) for r in raw]
         labels = [["ag", "cs", "meas"][i] for i in rng.integers(0, 3, n)]
