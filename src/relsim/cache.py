@@ -8,10 +8,14 @@ different configuration.
 load_cache checks and parses the counts of a block of rows at a time with
 numpy, and reads a block that fails a check row by row, so that a bad row's
 error names its line and a count too long for int64 is still read exactly.
+A loaded row remembers the line it was read from, which is exactly what
+save would format for it, so save writes that line back unless the row has
+been replaced since.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -30,6 +34,12 @@ _ROW = "\t".join(["%d"] * VECTOR_LEN)  # a row's counts as save writes them: str
 _BLOCK = 64  # body lines that load_cache checks and parses at once
 _MAX_DIGITS = 18  # a count of at most 18 digits fits int64
 _COUNT_DIGITS = len(str(MAX_COUNT))
+# An ASCII key "x:y" whose members each hold a letter or digit, one per line:
+# WordPair's rule for ASCII keys. The text before a member's first letter or
+# digit holds none, so each line matches in one way only and a bad key fails
+# in linear time.
+_MEMBER = "[^:\nA-Za-z0-9]*[A-Za-z0-9][^:\n]*"
+_KEYS = re.compile(f"(?:{_MEMBER}:{_MEMBER}\n)*{_MEMBER}:{_MEMBER}")
 
 
 @dataclass
@@ -38,6 +48,10 @@ class VectorCache:
     terms_checksum: str
     entries: dict[str, tuple[int, ...]] = field(default_factory=dict)
     mode: CountMode = CountMode.DOCUMENT_HITS
+    # key -> (row, line) for each row load_cache stored: save writes the line
+    # back while entries[key] is still that very row.
+    _read: dict[str, tuple[tuple[int, ...], str]] = field(
+        default_factory=dict, init=False, compare=False, repr=False)
 
     def __contains__(self, pair: WordPair) -> bool:
         return pair.key() in self.entries
@@ -66,7 +80,9 @@ class VectorCache:
         if self.mode is not CountMode.DOCUMENT_HITS:
             lines.append(f"# mode: {self.mode.value}")
         for key in sorted(self.entries):
-            lines.append(key + "\t" + _ROW % self.entries[key])
+            row, read = self.entries[key], self._read.get(key)
+            lines.append(read[1] if read is not None and read[0] is row
+                         else key + "\t" + _ROW % row)
         with atomic_write(path) as f:
             f.write(("\n".join(lines) + "\n").encode("utf-8"))
 
@@ -146,7 +162,8 @@ def _put_row(cache: VectorCache, line: str) -> None:
     key, _, text = line.partition("\t")
     if WordPair.from_key(key) in cache:  # from_key checks the key first
         raise ValueError(f"repeated key {key!r}")
-    cache.entries[key] = _full_row(_row_counts(text))
+    row = cache.entries[key] = _full_row(_row_counts(text))
+    cache._read[key] = row, line
 
 
 def _put_block(cache: VectorCache, lines: list[str]) -> bool:
@@ -154,15 +171,18 @@ def _put_block(cache: VectorCache, lines: list[str]) -> bool:
     every line and read each count within int64; otherwise store nothing and
     return False. The counts are checked in a few numpy passes over their
     ASCII bytes and parsed by one np.fromstring."""
-    rows = [line.partition("\t") for line in lines if line.strip()]
-    if not rows:
+    lines = [line for line in lines if line.strip()]
+    if not lines:
         return True
+    rows = [line.partition("\t") for line in lines]
     keys = [key for key, _, _ in rows]
-    try:
-        for key in keys:
-            WordPair.from_key(key)
-    except ValueError:
-        return False
+    joined = "\n".join(keys)
+    if not (joined.isascii() and _KEYS.fullmatch(joined)):
+        try:
+            for key in keys:
+                WordPair.from_key(key)
+        except ValueError:
+            return False
     if len(set(keys)) < len(keys) or not cache.entries.keys().isdisjoint(keys):
         return False
     text = "".join([counts + "\n" for _, _, counts in rows])
@@ -182,5 +202,7 @@ def _put_block(cache: VectorCache, lines: list[str]) -> bool:
             or (digits > _MAX_DIGITS).any() or ((b[starts] == ord("0")) & (digits > 1)).any()):
         return False
     counts = np.fromstring(data, dtype=np.int64, sep="\t").reshape(len(rows), VECTOR_LEN)
-    cache.entries.update(zip(keys, map(tuple, counts.tolist())))
+    parsed = list(map(tuple, counts.tolist()))
+    cache.entries.update(zip(keys, parsed))
+    cache._read.update(zip(keys, zip(parsed, lines)))
     return True

@@ -66,12 +66,13 @@ def top_two(scores: Sequence[float], rng: random.Random | None = None) -> tuple[
     if n == 1:
         return 0, 0, 0.0
     # The positions scoring at least the second-highest score.
-    top = np.flatnonzero(scores >= np.partition(scores, n - 2)[n - 2]).tolist()
-    order = range(len(top))
-    if rng is not None and len(set(scores[top].tolist())) < len(top):
-        order = rng.sample(order, len(top))
-    keys = dict(zip(top, order))
-    best, second = sorted(top, key=lambda i: (-scores[i], keys[i]))[:2]
+    top = np.flatnonzero(scores >= np.partition(scores, n - 2)[n - 2])
+    m, s = len(top), scores[top]
+    order = range(m)
+    if rng is not None and len(set(s.tolist())) < m:
+        order = rng.sample(order, m)
+    # By descending score, then by the drawn (or position) order.
+    best, second = top[np.lexsort((order, -s))[:2]].tolist()
     return best, second, float(scores[best] - scores[second])
 
 

@@ -57,6 +57,26 @@ class TestTopTwo:
             expected.sample(range(m), m)
         assert rng.getstate() == expected.getstate()
 
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("shape", ["all-tied", "mostly-tied", "top-tied"])
+    def test_long_tied_rows_match_full_ranking(self, shape, seed):
+        """Rows of 599 scores, as one LOOCV probe scores the other labelled
+        pairs: all equal (an all-zero probe), all but a few equal, or a
+        tied top group above many distinct scores."""
+        rnd = random.Random(seed)
+        scores = [0.0] * 599
+        if shape == "mostly-tied":
+            for j in rnd.sample(range(599), 8):
+                scores[j] = rnd.choice([-0.5, 0.25, 0.75])
+        elif shape == "top-tied":
+            scores = [rnd.random() / 2 for _ in range(599)]
+            for j in rnd.sample(range(599), rnd.randrange(2, 40)):
+                scores[j] = 0.75
+        for rng in (lambda: random.Random(seed), lambda: None):
+            order = oracle_ranked(scores, rng())
+            assert top_two(scores, rng()) == (order[0], order[1],
+                                              scores[order[0]] - scores[order[1]])
+
     def test_single_score_is_its_own_runner_up(self):
         assert top_two([0.3]) == top_two([0.3], random.Random(1)) == (0, 0, 0.0)
 

@@ -1,6 +1,7 @@
 import math
 import random
 import re
+import signal
 import string
 import sys
 import tempfile
@@ -447,6 +448,122 @@ class TestLoadCache:
         with pytest.raises(DataFormatError, match=f"^{re.escape(str(path))}:4: expected 128 "
                            f"counts, got {first}$"):
             load_cache(path)
+
+    @staticmethod
+    def write_rows(tmp_path, keys):
+        """A saved cache with a row of 128 ones under each key appended, from line 4."""
+        path = tmp_path / "cache.tsv"
+        VectorCache("d", "t").save(path)
+        with path.open("a", encoding="utf-8") as f:
+            f.write("".join(key + "\t" + "\t".join(["1"] * 128) + "\n" for key in keys))
+        return path
+
+    @pytest.mark.parametrize("key, x, y", [("-:b", "-", "b"), ("a:--", "a", "--"),
+                                           ("# :b", "# ", "b")])
+    def test_ascii_key_without_a_letter_or_digit_refused(self, tmp_path, key, x, y):
+        path = self.write_rows(tmp_path, [f"w{i}:y{i}" for i in range(5)] + [key, "c:d"])
+        with pytest.raises(DataFormatError, match=f"^{re.escape(str(path))}:9: bad word pair "
+                           f"{re.escape(repr(x))}, {re.escape(repr(y))}: a member has no token "
+                           "characters"):
+            load_cache(path)
+
+    def test_non_ascii_key_that_word_pair_accepts_loads(self, tmp_path):
+        kelvin = "\u212a:b"  # KELVIN SIGN lowercases to "k"
+        path = self.write_rows(tmp_path, ["a:b", kelvin, "c:d"])
+        cache = load_cache(path)
+        assert list(cache.entries) == ["a:b", kelvin, "c:d"]
+        assert cache.entries == oracle_load_cache(path)
+
+    def test_letter_rich_keys_then_a_bad_key_fail_promptly(self, tmp_path):
+        """A key check that could split a member at any of its letters would
+        backtrack through every split of the 63 keys before the bad one."""
+        keys = [f"{'ab' * 20}{i}:{'cd' * 20}" for i in range(63)] + ["ab:--"]
+        path = self.write_rows(tmp_path, keys)
+
+        def expire(signum, frame):
+            raise TimeoutError("load_cache took over 10 s")
+        old = signal.signal(signal.SIGALRM, expire)
+        signal.setitimer(signal.ITIMER_REAL, 10)
+        try:
+            with pytest.raises(DataFormatError, match=f"^{re.escape(str(path))}:67: bad word "
+                               "pair 'ab', '--'"):
+                load_cache(path)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, old)
+
+
+class TestCacheLines:
+    """save writes a loaded row back as the line it was read from, while
+    entries holds that same row; a row put or assigned since is formatted."""
+
+    @given(st.one_of(st.sampled_from([0, 1, 63, 64, 65, 127, 128, 129]), st.integers(0, 150)),
+           st.lists(st.tuples(st.integers(0, 200), st.sampled_from(["put", "assign"])),
+                    max_size=4),
+           st.integers(0, 3), st.integers(0, 2 ** 32))
+    @example(n=65, changes=[(64, "put"), (0, "assign"), (200, "put")], blanks=2, seed=0)
+    @settings(deadline=None, max_examples=60)
+    def test_loaded_cache_saves_what_put_saves(self, n, changes, blanks, seed):
+        """Any file load_cache accepts, then a few rows put or assigned,
+        saves the bytes of a fresh cache given the same rows through put.
+        A change names a loaded row by its index mod n + 1, or a new row."""
+        rnd = random.Random(seed)
+
+        def counts():
+            """Mostly small counts; about one in 500 has 18 to 308 digits."""
+            return [rnd.randrange(10 ** rnd.choice([18, 19, 26, 308])) if rnd.random() < 0.002
+                    else rnd.randrange(3) for _ in range(128)]
+        rows = {rnd.choice(["w", "# w", "\u00c9", "\u212a", "a b"]) + f"{i}:y{i}": counts()
+                for i in range(n)}
+        lines = [key + "\t" + "\t".join(map(str, row)) for key, row in rows.items()]
+        for _ in range(blanks):
+            lines.insert(rnd.randrange(len(lines) + 1), rnd.choice(["", " \t "]))
+        with tempfile.TemporaryDirectory() as tmp:
+            path, got, want = Path(tmp) / "cache.tsv", Path(tmp) / "got.tsv", Path(tmp) / "want.tsv"
+            VectorCache("d", "t").save(path)
+            with path.open("a", encoding="utf-8") as f:
+                f.write("".join(line + "\n" for line in lines))
+            cache = load_cache(path)
+            for i, how in changes:
+                keys = list(rows)
+                key = keys[i % (n + 1)] if i % (n + 1) < n else f"new{i}:z"
+                rows[key] = counts()
+                if how == "put":
+                    cache.put(WordPair.from_key(key), rows[key])
+                else:
+                    cache.entries[key] = tuple(rows[key])
+            cache.save(got)
+            fresh = VectorCache("d", "t")
+            for key, row in rows.items():
+                fresh.put(WordPair.from_key(key), row)
+            fresh.save(want)
+            assert got.read_bytes() == want.read_bytes()
+
+    @staticmethod
+    def loaded(tmp_path):
+        """A cache of the rows a:b (ones) and c:d (twos), saved and loaded."""
+        cache = VectorCache("d", "t")
+        cache.put(WordPair("a", "b"), [1] * 128)
+        cache.put(WordPair("c", "d"), [2] * 128)
+        cache.save(tmp_path / "cache.tsv")
+        return cache, load_cache(tmp_path / "cache.tsv")
+
+    @pytest.mark.parametrize("how", ["put", "assign"])
+    def test_replaced_loaded_row_saves_its_new_counts(self, tmp_path, how):
+        fresh, cache = self.loaded(tmp_path)
+        if how == "put":
+            cache.put(WordPair("a", "b"), [3] * 128)
+        else:
+            cache.entries["a:b"] = (3,) * 128
+        fresh.put(WordPair("a", "b"), [3] * 128)
+        cache.save(tmp_path / "got.tsv")
+        fresh.save(tmp_path / "want.tsv")
+        assert load_cache(tmp_path / "got.tsv").entries["a:b"] == (3,) * 128
+        assert (tmp_path / "got.tsv").read_bytes() == (tmp_path / "want.tsv").read_bytes()
+
+    def test_equality_and_repr_ignore_the_lines(self, tmp_path):
+        fresh, cache = self.loaded(tmp_path)
+        assert cache == fresh and repr(cache) == repr(fresh)
 
 
 class TestCosine:
