@@ -5,18 +5,21 @@ without re-querying. The cache records the corpus digest, joining-term
 checksum and count mode it was built with and refuses to load under a
 different configuration.
 
-load_cache checks and parses the counts of a block of rows at a time with
-numpy, and reads a block that fails a check row by row, so that a bad row's
-error names its line and a count too long for int64 is still read exactly.
-A loaded row remembers the line it was read from, which is exactly what
-save would format for it, so save writes that line back unless the row has
-been replaced since.
+load_cache checks the counts of a block of rows at a time with numpy, and
+reads a block that fails a check row by row, so that a bad row's error names
+its line and a count too long for int64 is still read exactly. A block that
+passes is parsed only when something first reads entries, so membership, put
+and save read no counts. A loaded row remembers the line it was read from,
+which is exactly what save would format for it, so save writes that line back
+unless the row has been replaced since: relsim vectors parses none of the rows
+it writes back.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+import struct
+from itertools import repeat
 from pathlib import Path
 from typing import Sequence
 
@@ -31,9 +34,10 @@ from .vectors import MAX_COUNT, RelationVector, WordPair, hit_counts
 _MAGIC = "# relsim-vector-cache v1"
 VECTOR_LEN = 2 * TERM_COUNT
 _ROW = "\t".join(["%d"] * VECTOR_LEN)  # a row's counts as save writes them: str() of each
-_BLOCK = 64  # body lines that load_cache checks and parses at once
+_BLOCK = 64  # body lines that load_cache checks at once, and entries parses
 _MAX_DIGITS = 18  # a count of at most 18 digits fits int64
 _COUNT_DIGITS = len(str(MAX_COUNT))
+_INT64_ROW = struct.Struct(f"={VECTOR_LEN}q")  # a row of int64 counts, unpacked to a tuple of ints
 # An ASCII key "x:y" whose members each hold a letter or digit, one per line:
 # WordPair's rule for ASCII keys. The text before a member's first letter or
 # digit holds none, so each line matches in one way only and a bad key fails
@@ -42,23 +46,56 @@ _MEMBER = "[^:\nA-Za-z0-9]*[A-Za-z0-9][^:\n]*"
 _KEYS = re.compile(f"(?:{_MEMBER}:{_MEMBER}\n)*{_MEMBER}:{_MEMBER}")
 
 
-@dataclass
 class VectorCache:
-    corpus_digest: str
-    terms_checksum: str
-    entries: dict[str, tuple[int, ...]] = field(default_factory=dict)
-    mode: CountMode = CountMode.DOCUMENT_HITS
-    # key -> (row, line) for each row load_cache stored: save writes the line
-    # back while entries[key] is still that very row.
-    _read: dict[str, tuple[tuple[int, ...], str]] = field(
-        default_factory=dict, init=False, compare=False, repr=False)
+    """Raw counts by pair key, in load order and then put order, with the
+    corpus digest, term checksum and count mode they were counted under.
+    Equality and repr cover these four, so they read the counts."""
+
+    def __init__(self, corpus_digest: str, terms_checksum: str,
+                 entries: dict[str, tuple[int, ...]] | None = None,
+                 mode: CountMode = CountMode.DOCUMENT_HITS) -> None:
+        self.corpus_digest = corpus_digest
+        self.terms_checksum = terms_checksum
+        # key -> row; None for a row load_cache checked but has not parsed
+        self._entries = {} if entries is None else entries
+        self.mode = mode
+        # key -> (row, line) for each row load_cache stored: save writes the
+        # line back while _entries[key] is still that very row (None if unread).
+        self._read: dict[str, tuple[tuple[int, ...] | None, str]] = {}
+        self._unread: list[list[str]] = []  # the keys of each unparsed block
+
+    @property
+    def entries(self) -> dict[str, tuple[int, ...]]:
+        """The rows by key; the first read parses the rows load_cache left unread."""
+        if self._unread:
+            for keys in self._unread:
+                lines = [self._read[key][1] for key in keys]
+                for key, line, row in zip(keys, lines, _parse_block(lines)):
+                    if self._entries[key] is None:  # not put since the load
+                        self._entries[key] = row
+                        self._read[key] = row, line
+            self._unread = []
+        return self._entries
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.corpus_digest, self.terms_checksum, self.entries, self.mode)
+                == (other.corpus_digest, other.terms_checksum, other.entries, other.mode))
+
+    __hash__ = None  # mutable, as a dataclass with eq
+
+    def __repr__(self) -> str:
+        return (f"{type(self).__qualname__}(corpus_digest={self.corpus_digest!r}, "
+                f"terms_checksum={self.terms_checksum!r}, entries={self.entries!r}, "
+                f"mode={self.mode!r})")
 
     def __contains__(self, pair: WordPair) -> bool:
-        return pair.key() in self.entries
+        return pair.key() in self._entries
 
     def put(self, pair: WordPair, raw: Sequence[int]) -> None:
         """Store VECTOR_LEN counts (hit_counts' rule) as a tuple, lighter than a RelationVector."""
-        self.entries[pair.key()] = _full_row(hit_counts(raw))
+        self._entries[pair.key()] = _full_row(hit_counts(raw))
 
     def vector(self, pair: WordPair) -> RelationVector:
         """The stored row as a vector; put or load_cache checked it already."""
@@ -79,12 +116,13 @@ class VectorCache:
         # Document caches keep the bytes they had before caches recorded a mode.
         if self.mode is not CountMode.DOCUMENT_HITS:
             lines.append(f"# mode: {self.mode.value}")
-        for key in sorted(self.entries):
-            row, read = self.entries[key], self._read.get(key)
+        for key in sorted(self._entries):
+            row, read = self._entries[key], self._read.get(key)
             lines.append(read[1] if read is not None and read[0] is row
                          else key + "\t" + _ROW % row)
+        lines.append("")  # the last line's newline, without a second copy of the text
         with atomic_write(path) as f:
-            f.write(("\n".join(lines) + "\n").encode("utf-8"))
+            f.write("\n".join(lines).encode("utf-8"))
 
 
 def _row_counts(text: str) -> tuple[int, ...]:
@@ -162,15 +200,15 @@ def _put_row(cache: VectorCache, line: str) -> None:
     key, _, text = line.partition("\t")
     if WordPair.from_key(key) in cache:  # from_key checks the key first
         raise ValueError(f"repeated key {key!r}")
-    row = cache.entries[key] = _full_row(_row_counts(text))
+    row = cache._entries[key] = _full_row(_row_counts(text))
     cache._read[key] = row, line
 
 
 def _put_block(cache: VectorCache, lines: list[str]) -> bool:
-    """Store the rows of `lines` and return True when _put_row would accept
-    every line and read each count within int64; otherwise store nothing and
-    return False. The counts are checked in a few numpy passes over their
-    ASCII bytes and parsed by one np.fromstring."""
+    """Store the rows of `lines` unread and return True when _put_row would
+    accept every line and read each count within int64; otherwise store
+    nothing and return False. The counts are checked in a few numpy passes
+    over their ASCII bytes; _parse_block parses them on the first read."""
     lines = [line for line in lines if line.strip()]
     if not lines:
         return True
@@ -183,7 +221,7 @@ def _put_block(cache: VectorCache, lines: list[str]) -> bool:
                 WordPair.from_key(key)
         except ValueError:
             return False
-    if len(set(keys)) < len(keys) or not cache.entries.keys().isdisjoint(keys):
+    if len(set(keys)) < len(keys) or not cache._entries.keys().isdisjoint(keys):
         return False
     text = "".join([counts + "\n" for _, _, counts in rows])
     if not text.isascii():
@@ -201,8 +239,16 @@ def _put_block(cache: VectorCache, lines: list[str]) -> bool:
     if ((seps[:, :-1] != ord("\t")).any() or (digits < 1).any()
             or (digits > _MAX_DIGITS).any() or ((b[starts] == ord("0")) & (digits > 1)).any()):
         return False
-    counts = np.fromstring(data, dtype=np.int64, sep="\t").reshape(len(rows), VECTOR_LEN)
-    parsed = list(map(tuple, counts.tolist()))
-    cache.entries.update(zip(keys, parsed))
-    cache._read.update(zip(keys, zip(parsed, lines)))
+    cache._entries.update(zip(keys, repeat(None)))
+    cache._read.update(zip(keys, zip(repeat(None), lines)))
+    cache._unread.append(keys)
     return True
+
+
+def _parse_block(lines: list[str]) -> list[tuple[int, ...]]:
+    """The counts of body lines that _put_block accepted, by one np.fromstring
+    over their count text. struct unpacks each row of the matrix straight to
+    a tuple of ints, in about half the time of tolist and tuple."""
+    text = "".join([line.partition("\t")[2] + "\n" for line in lines])
+    counts = np.fromstring(text, dtype=np.int64, sep="\t").reshape(len(lines), VECTOR_LEN)
+    return list(_INT64_ROW.iter_unpack(counts))

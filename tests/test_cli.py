@@ -798,6 +798,31 @@ class TestInputErrors:
         after = cache.stat()
         assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
 
+    def test_vectors_parses_no_cached_row(self, capsys, monkeypatch, sat_setup, built_index,
+                                          tmp_path):
+        """relsim vectors tests membership, puts and saves, which read no
+        counts: with the block parser failing, it still adds a new pair and
+        writes what an unparsed run writes."""
+        q, cache = sat_setup
+        pairs = tmp_path / "pairs.tsv"
+        pairs.write_text("traffic:street\nwater:riverbed\nmason:stone\ncarpenter:wood\n")
+        want, got = tmp_path / "want.tsv", tmp_path / "got.tsv"
+        want.write_bytes(cache.read_bytes())
+        got.write_bytes(cache.read_bytes())
+        args = ["vectors", str(pairs), "--format", "pairs", "--index", str(built_index),
+                "--cache"]
+        assert run_main(capsys, *args, str(want))[0] == 0
+
+        def fail(lines):
+            pytest.fail("a cached row was parsed")
+        monkeypatch.setattr("relsim.cache._parse_block", fail)
+        code, out, err = run_main(capsys, *args, str(got))
+        assert code == 0, err
+        assert "1 computed, 3 reused" in out
+        assert got.read_bytes() == want.read_bytes()
+        with pytest.raises(pytest.fail.Exception, match="a cached row was parsed"):
+            load_cache(got).entries  # the rows do take the patched parser
+
     def test_interrupted_sweep_csv_keeps_old_file(self, capsys, monkeypatch, sat_setup,
                                                   tmp_path):
         q, cache = sat_setup

@@ -494,19 +494,24 @@ class TestLoadCache:
 
 
 class TestCacheLines:
-    """save writes a loaded row back as the line it was read from, while
-    entries holds that same row; a row put or assigned since is formatted."""
+    """save writes a loaded row back as the line it was read from, while the
+    row is unread or entries holds the very row parsed from it; a row put or
+    assigned since is formatted."""
 
     @given(st.one_of(st.sampled_from([0, 1, 63, 64, 65, 127, 128, 129]), st.integers(0, 150)),
            st.lists(st.tuples(st.integers(0, 200), st.sampled_from(["put", "assign"])),
                     max_size=4),
-           st.integers(0, 3), st.integers(0, 2 ** 32))
-    @example(n=65, changes=[(64, "put"), (0, "assign"), (200, "put")], blanks=2, seed=0)
+           st.integers(0, 3), st.booleans(), st.integers(0, 2 ** 32))
+    @example(n=65, changes=[(64, "put"), (0, "assign"), (200, "put")], blanks=2,
+             read_first=False, seed=0)
+    @example(n=130, changes=[(64, "put"), (200, "put")], blanks=0, read_first=False, seed=0)
+    @example(n=130, changes=[(64, "put"), (200, "put")], blanks=0, read_first=True, seed=0)
     @settings(deadline=None, max_examples=60)
-    def test_loaded_cache_saves_what_put_saves(self, n, changes, blanks, seed):
+    def test_loaded_cache_saves_what_put_saves(self, n, changes, blanks, read_first, seed):
         """Any file load_cache accepts, then a few rows put or assigned,
-        saves the bytes of a fresh cache given the same rows through put.
-        A change names a loaded row by its index mod n + 1, or a new row."""
+        saves the bytes of a fresh cache given the same rows through put,
+        whether or not entries was read before the changes. A change names
+        a loaded row by its index mod n + 1, or a new row."""
         rnd = random.Random(seed)
 
         def counts():
@@ -524,6 +529,8 @@ class TestCacheLines:
             with path.open("a", encoding="utf-8") as f:
                 f.write("".join(line + "\n" for line in lines))
             cache = load_cache(path)
+            if read_first:
+                cache.entries
             for i, how in changes:
                 keys = list(rows)
                 key = keys[i % (n + 1)] if i % (n + 1) < n else f"new{i}:z"
@@ -564,6 +571,40 @@ class TestCacheLines:
     def test_equality_and_repr_ignore_the_lines(self, tmp_path):
         fresh, cache = self.loaded(tmp_path)
         assert cache == fresh and repr(cache) == repr(fresh)
+
+    def test_unread_rows_answer_membership_and_keep_their_place(self, tmp_path, monkeypatch):
+        """Membership and put read no counts of a loaded cache. The first
+        read of entries then lists what an eager load followed by the same
+        puts would: loaded rows in file order, a replaced row in its place
+        with its new counts, and new rows after them in put order."""
+        rnd = random.Random(0)
+        lines = [f"w{i}:y{i}\t" + "\t".join(str(rnd.randrange(3)) for _ in range(128))
+                 for i in range(200)]
+        # A count of over 18 digits sends the second block down the row path.
+        lines.insert(100, "big:row\t" + "\t".join([str(10 ** 20)] + ["1"] * 127))
+        path = tmp_path / "cache.tsv"
+        VectorCache("d", "t").save(path)
+        with path.open("a", encoding="utf-8") as f:
+            f.write("".join(line + "\n" for line in lines))
+        puts = [("w10:y10", [5] * 128), ("new:one", [1] * 128), ("w150:y150", [6] * 128),
+                ("big:row", [7] * 128), ("w70:y70", [8] * 128), ("new:two", [2] * 128)]
+
+        def fail(lines):
+            pytest.fail("counts were parsed")
+        monkeypatch.setattr("relsim.cache._parse_block", fail)
+        cache = load_cache(path)
+        for key in ("w0:y0", "w63:y63", "w64:y64", "big:row", "w199:y199"):
+            assert WordPair.from_key(key) in cache
+        for key, row in puts:
+            cache.put(WordPair.from_key(key), row)
+        assert all(WordPair.from_key(key) in cache for key, _ in puts)
+        assert WordPair("w200", "y200") not in cache and WordPair("y0", "w0") not in cache
+        monkeypatch.undo()
+        want = oracle_load_cache(path)
+        for key, row in puts:
+            want[key] = tuple(row)
+        got = cache.entries
+        assert list(got) == list(want) and got == want
 
 
 class TestCosine:
