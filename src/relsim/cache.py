@@ -5,23 +5,22 @@ without re-querying. The cache records the corpus digest, joining-term
 checksum and count mode it was built with and refuses to load under a
 different configuration.
 
-load_cache checks the counts of a block of rows at a time with numpy, and
-reads a block that fails a check row by row, so that a bad row's error names
-its line and a count too long for int64 is still read exactly. A block that
-passes is parsed only when something first reads entries, so membership, put
-and save read no counts. A loaded row remembers the line it was read from,
-which is exactly what save would format for it, so save writes that line back
-unless the row has been replaced since: relsim vectors parses none of the rows
-it writes back.
+A cache holds each row as its line, the text save writes for it, so
+membership, equality and save read no counts. load_cache checks the counts of
+a block of rows at a time with numpy, and reads a block that fails a check row
+by row, so that a bad row's error names its line and a count too long for
+int64 is still read exactly. Both paths accept a row only in the form save
+writes, and keep its line; a block's counts are parsed only when something
+first reads entries, so relsim vectors parses none of the rows it writes back.
 """
 
 from __future__ import annotations
 
 import re
 import struct
-from itertools import repeat
 from pathlib import Path
-from typing import Sequence
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -49,57 +48,60 @@ _KEYS = re.compile(f"(?:{_MEMBER}:{_MEMBER}\n)*{_MEMBER}:{_MEMBER}")
 class VectorCache:
     """Raw counts by pair key, in load order and then put order, with the
     corpus digest, term checksum and count mode they were counted under.
-    Equality and repr cover these four, so they read the counts."""
+    A row is held as its line, which put replaces; entries is a read-only
+    view of the counts, parsed on first read. Equality compares lines."""
 
-    def __init__(self, corpus_digest: str, terms_checksum: str,
-                 entries: dict[str, tuple[int, ...]] | None = None,
+    def __init__(self, corpus_digest: str, terms_checksum: str, *,
                  mode: CountMode = CountMode.DOCUMENT_HITS) -> None:
         self.corpus_digest = corpus_digest
         self.terms_checksum = terms_checksum
-        # key -> row; None for a row load_cache checked but has not parsed
-        self._entries = {} if entries is None else entries
         self.mode = mode
-        # key -> (row, line) for each row load_cache stored: save writes the
-        # line back while _entries[key] is still that very row (None if unread).
-        self._read: dict[str, tuple[tuple[int, ...] | None, str]] = {}
-        self._unread: list[list[str]] = []  # the keys of each unparsed block
+        self._lines: dict[str, str] = {}  # key -> the line save writes for its row
+        self._rows: dict[str, tuple[int, ...]] = {}  # key -> counts, for the lines parsed so far
 
     @property
-    def entries(self) -> dict[str, tuple[int, ...]]:
-        """The rows by key; the first read parses the rows load_cache left unread."""
-        if self._unread:
-            for keys in self._unread:
-                lines = [self._read[key][1] for key in keys]
-                for key, line, row in zip(keys, lines, _parse_block(lines)):
-                    if self._entries[key] is None:  # not put since the load
-                        self._entries[key] = row
-                        self._read[key] = row, line
-            self._unread = []
-        return self._entries
+    def entries(self) -> Mapping[str, tuple[int, ...]]:
+        """The rows by key, read-only."""
+        return MappingProxyType(self._parsed())
+
+    def _parsed(self) -> dict[str, tuple[int, ...]]:
+        """_rows, after the first read parses the lines not parsed yet, _BLOCK at a time."""
+        if len(self._rows) < len(self._lines):
+            unparsed = [key for key in self._lines if key not in self._rows]
+            for start in range(0, len(unparsed), _BLOCK):
+                keys = unparsed[start:start + _BLOCK]
+                self._rows.update(zip(keys, _parse_block([self._lines[key] for key in keys])))
+            # Rows of the row path, and rows put over unparsed lines, went in
+            # ahead of their place; take the lines' order.
+            self._rows = {key: self._rows[key] for key in self._lines}
+        return self._rows
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return ((self.corpus_digest, self.terms_checksum, self.entries, self.mode)
-                == (other.corpus_digest, other.terms_checksum, other.entries, other.mode))
+        return ((self.corpus_digest, self.terms_checksum, self._lines, self.mode)
+                == (other.corpus_digest, other.terms_checksum, other._lines, other.mode))
 
     __hash__ = None  # mutable, as a dataclass with eq
 
     def __repr__(self) -> str:
         return (f"{type(self).__qualname__}(corpus_digest={self.corpus_digest!r}, "
-                f"terms_checksum={self.terms_checksum!r}, entries={self.entries!r}, "
+                f"terms_checksum={self.terms_checksum!r}, entries={dict(self.entries)!r}, "
                 f"mode={self.mode!r})")
 
     def __contains__(self, pair: WordPair) -> bool:
-        return pair.key() in self._entries
+        return pair.key() in self._lines
 
     def put(self, pair: WordPair, raw: Sequence[int]) -> None:
-        """Store VECTOR_LEN counts (hit_counts' rule) as a tuple, lighter than a RelationVector."""
-        self._entries[pair.key()] = _full_row(hit_counts(raw))
+        """Store VECTOR_LEN counts (hit_counts' rule) as a tuple, lighter than
+        a RelationVector, and as the line save writes for them."""
+        key = pair.key()
+        row = self._rows[key] = _full_row(hit_counts(raw))
+        self._lines[key] = key + "\t" + _ROW % row
 
     def vector(self, pair: WordPair) -> RelationVector:
         """The stored row as a vector; put or load_cache checked it already."""
-        return RelationVector.from_counts(pair, self.entries[pair.key()])
+        return RelationVector.from_counts(pair, self._parsed()[pair.key()])
 
     def vectors_for(self, pairs: Sequence[WordPair]) -> dict[str, RelationVector]:
         """Each pair's vector by key; a pair the cache lacks is a
@@ -116,10 +118,7 @@ class VectorCache:
         # Document caches keep the bytes they had before caches recorded a mode.
         if self.mode is not CountMode.DOCUMENT_HITS:
             lines.append(f"# mode: {self.mode.value}")
-        for key in sorted(self._entries):
-            row, read = self._entries[key], self._read.get(key)
-            lines.append(read[1] if read is not None and read[0] is row
-                         else key + "\t" + _ROW % row)
+        lines += [self._lines[key] for key in sorted(self._lines)]
         lines.append("")  # the last line's newline, without a second copy of the text
         with atomic_write(path) as f:
             f.write("\n".join(lines).encode("utf-8"))
@@ -192,23 +191,23 @@ def load_cache(path: str | Path, corpus_digest: str | None = None,
 
 
 def _put_row(cache: VectorCache, line: str) -> None:
-    """Store a body line's row, or skip a blank line. This is the one
-    statement of the row format; _put_block only reads faster the rows it
-    accepts."""
+    """Store a body line and its counts, or skip a blank line. This is the
+    one statement of the row format; _put_block only reads faster the rows
+    it accepts."""
     if not line.strip():
         return
     key, _, text = line.partition("\t")
     if WordPair.from_key(key) in cache:  # from_key checks the key first
         raise ValueError(f"repeated key {key!r}")
-    row = cache._entries[key] = _full_row(_row_counts(text))
-    cache._read[key] = row, line
+    cache._rows[key] = _full_row(_row_counts(text))
+    cache._lines[key] = line
 
 
 def _put_block(cache: VectorCache, lines: list[str]) -> bool:
-    """Store the rows of `lines` unread and return True when _put_row would
-    accept every line and read each count within int64; otherwise store
-    nothing and return False. The counts are checked in a few numpy passes
-    over their ASCII bytes; _parse_block parses them on the first read."""
+    """Store the non-blank `lines` unparsed and return True when _put_row
+    would accept every line and read each count within int64; otherwise
+    store nothing and return False. The counts are checked in a few numpy
+    passes over their ASCII bytes; _parse_block parses them on the first read."""
     lines = [line for line in lines if line.strip()]
     if not lines:
         return True
@@ -221,7 +220,7 @@ def _put_block(cache: VectorCache, lines: list[str]) -> bool:
                 WordPair.from_key(key)
         except ValueError:
             return False
-    if len(set(keys)) < len(keys) or not cache._entries.keys().isdisjoint(keys):
+    if len(set(keys)) < len(keys) or not cache._lines.keys().isdisjoint(keys):
         return False
     text = "".join([counts + "\n" for _, _, counts in rows])
     if not text.isascii():
@@ -239,9 +238,7 @@ def _put_block(cache: VectorCache, lines: list[str]) -> bool:
     if ((seps[:, :-1] != ord("\t")).any() or (digits < 1).any()
             or (digits > _MAX_DIGITS).any() or ((b[starts] == ord("0")) & (digits > 1)).any()):
         return False
-    cache._entries.update(zip(keys, repeat(None)))
-    cache._read.update(zip(keys, zip(repeat(None), lines)))
-    cache._unread.append(keys)
+    cache._lines.update(zip(keys, lines))
     return True
 
 

@@ -120,6 +120,14 @@ def vectors_cmd(pairs_file, index_path, cache_path, fmt, mode, terms_path):
                f"{len(pairs) - len(new)} reused)")
 
 
+def _load_questions(path) -> list[analogy.AnalogyQuestion]:
+    """The questions of `path`, which must hold at least one."""
+    questions = analogy.load_questions(path)
+    if not questions:
+        raise DataFormatError(f"{path}: no questions")
+    return questions
+
+
 def _checked_cache(cache_path, index_path, terms_path) -> VectorCache:
     """The cache, checked against --index and --terms where given."""
     digest = load_index(index_path).corpus_digest if index_path else None
@@ -196,7 +204,7 @@ def sat_solve(questions_file, cache_path, index_path, terms_path, threshold,
     """Answer analogy questions at a margin threshold, or sweep thresholds."""
     if csv_path:
         check_writable(csv_path)
-    questions = analogy.load_questions(questions_file)
+    questions = _load_questions(questions_file)
     vectors = _checked_cache(cache_path, index_path, terms_path).vectors_for(
         [p for q in questions for p in q.pairs()])
 
@@ -225,7 +233,7 @@ def sat_solve(questions_file, cache_path, index_path, terms_path, threshold,
 def sat_rank(questions_file, cache_path, index_path, terms_path, top):
     """Pool-ranking evaluation: each stem ranks the pool of all correct
     choice pairs; report how often its own pair lands in the top k."""
-    questions = analogy.load_questions(questions_file)
+    questions = _load_questions(questions_file)
     vectors = _checked_cache(cache_path, index_path, terms_path).vectors_for(
         [p for q in questions for p in q.pairs()])
     ranks = analogy.pool_ranks(questions, vectors)

@@ -400,6 +400,21 @@ class TestInputErrors:
         assert f"{one}: need at least two labelled items" in err
         assert "internal error" not in err and out == ""
 
+    @pytest.mark.parametrize("args", [["solve"], ["solve", "--sweep", "0:0.1:0.05"], ["rank"]],
+                             ids=["solve", "sweep", "rank"])
+    @pytest.mark.parametrize("text", ["", "# a comment\n\n"], ids=["empty", "comments"])
+    def test_sat_file_without_a_question_names_the_file(self, capsys, tmp_path, args, text):
+        """The error comes before the cache is read: here it is no cache."""
+        empty = tmp_path / "questions.tsv"
+        empty.write_text(text)
+        junk = tmp_path / "junk.tsv"
+        junk.write_text("not a cache\n")
+        code, out, err = run_main(capsys, "sat", args[0], str(empty), "--cache", str(junk),
+                                  *args[1:])
+        assert code == 1, err
+        assert f"{empty}: no questions" in err
+        assert "internal error" not in err and "vector cache" not in err and out == ""
+
     def test_sweep_stdout_equals_csv_file(self, capsys, sat_setup, nm_files, tmp_path):
         q, cache = sat_setup
         data, nm_cache = nm_files

@@ -494,24 +494,24 @@ class TestLoadCache:
 
 
 class TestCacheLines:
-    """save writes a loaded row back as the line it was read from, while the
-    row is unread or entries holds the very row parsed from it; a row put or
-    assigned since is formatted."""
+    """A cache holds each row as its line: save writes a loaded row back as
+    the line it was read from, and a row put since as put formats it."""
 
     @given(st.one_of(st.sampled_from([0, 1, 63, 64, 65, 127, 128, 129]), st.integers(0, 150)),
-           st.lists(st.tuples(st.integers(0, 200), st.sampled_from(["put", "assign"])),
-                    max_size=4),
-           st.integers(0, 3), st.booleans(), st.integers(0, 2 ** 32))
-    @example(n=65, changes=[(64, "put"), (0, "assign"), (200, "put")], blanks=2,
-             read_first=False, seed=0)
-    @example(n=130, changes=[(64, "put"), (200, "put")], blanks=0, read_first=False, seed=0)
-    @example(n=130, changes=[(64, "put"), (200, "put")], blanks=0, read_first=True, seed=0)
+           st.lists(st.integers(0, 200), max_size=4),
+           st.integers(0, 3), st.booleans(), st.sampled_from(CountMode), st.integers(0, 2 ** 32))
+    @example(n=65, changes=[64, 0, 200], blanks=2, read_first=False,
+             mode=CountMode.DOCUMENT_HITS, seed=0)
+    @example(n=130, changes=[64, 200], blanks=0, read_first=False,
+             mode=CountMode.OCCURRENCES, seed=0)
+    @example(n=130, changes=[64, 200], blanks=0, read_first=True,
+             mode=CountMode.DOCUMENT_HITS, seed=0)
     @settings(deadline=None, max_examples=60)
-    def test_loaded_cache_saves_what_put_saves(self, n, changes, blanks, read_first, seed):
-        """Any file load_cache accepts, then a few rows put or assigned,
-        saves the bytes of a fresh cache given the same rows through put,
-        whether or not entries was read before the changes. A change names
-        a loaded row by its index mod n + 1, or a new row."""
+    def test_loaded_cache_saves_what_put_saves(self, n, changes, blanks, read_first, mode, seed):
+        """Any file load_cache accepts, in either count mode, then a few rows
+        put, saves the bytes of a fresh cache given the same rows through
+        put, whether or not entries was read before the puts. A change
+        names a loaded row by its index mod n + 1, or a new row."""
         rnd = random.Random(seed)
 
         def counts():
@@ -525,22 +525,19 @@ class TestCacheLines:
             lines.insert(rnd.randrange(len(lines) + 1), rnd.choice(["", " \t "]))
         with tempfile.TemporaryDirectory() as tmp:
             path, got, want = Path(tmp) / "cache.tsv", Path(tmp) / "got.tsv", Path(tmp) / "want.tsv"
-            VectorCache("d", "t").save(path)
+            VectorCache("d", "t", mode=mode).save(path)
             with path.open("a", encoding="utf-8") as f:
                 f.write("".join(line + "\n" for line in lines))
             cache = load_cache(path)
             if read_first:
                 cache.entries
-            for i, how in changes:
+            for i in changes:
                 keys = list(rows)
                 key = keys[i % (n + 1)] if i % (n + 1) < n else f"new{i}:z"
                 rows[key] = counts()
-                if how == "put":
-                    cache.put(WordPair.from_key(key), rows[key])
-                else:
-                    cache.entries[key] = tuple(rows[key])
+                cache.put(WordPair.from_key(key), rows[key])
             cache.save(got)
-            fresh = VectorCache("d", "t")
+            fresh = VectorCache("d", "t", mode=mode)
             for key, row in rows.items():
                 fresh.put(WordPair.from_key(key), row)
             fresh.save(want)
@@ -555,13 +552,9 @@ class TestCacheLines:
         cache.save(tmp_path / "cache.tsv")
         return cache, load_cache(tmp_path / "cache.tsv")
 
-    @pytest.mark.parametrize("how", ["put", "assign"])
-    def test_replaced_loaded_row_saves_its_new_counts(self, tmp_path, how):
+    def test_replaced_loaded_row_saves_its_new_counts(self, tmp_path):
         fresh, cache = self.loaded(tmp_path)
-        if how == "put":
-            cache.put(WordPair("a", "b"), [3] * 128)
-        else:
-            cache.entries["a:b"] = (3,) * 128
+        cache.put(WordPair("a", "b"), [3] * 128)
         fresh.put(WordPair("a", "b"), [3] * 128)
         cache.save(tmp_path / "got.tsv")
         fresh.save(tmp_path / "want.tsv")
@@ -571,6 +564,27 @@ class TestCacheLines:
     def test_equality_and_repr_ignore_the_lines(self, tmp_path):
         fresh, cache = self.loaded(tmp_path)
         assert cache == fresh and repr(cache) == repr(fresh)
+
+    def test_equality_parses_no_counts(self, tmp_path, monkeypatch):
+        """Equality compares lines, so two loads of one file are equal unparsed."""
+        fresh, cache = self.loaded(tmp_path)
+
+        def fail(lines):
+            pytest.fail("counts were parsed")
+        monkeypatch.setattr("relsim.cache._parse_block", fail)
+        again = load_cache(tmp_path / "cache.tsv")
+        assert cache == again and again == cache
+        again.put(WordPair("a", "b"), [3] * 128)
+        assert cache != again
+
+    @pytest.mark.parametrize("loaded", [False, True], ids=["fresh", "loaded"])
+    def test_entries_is_read_only(self, tmp_path, loaded):
+        """A row changes through put alone, which keeps its line in step."""
+        cache = self.loaded(tmp_path)[loaded]
+        for key in ("a:b", "new:row"):
+            with pytest.raises(TypeError):
+                cache.entries[key] = (3,) * 128
+        assert cache.entries["a:b"] == (1,) * 128 and "new:row" not in cache.entries
 
     def test_unread_rows_answer_membership_and_keep_their_place(self, tmp_path, monkeypatch):
         """Membership and put read no counts of a loaded cache. The first
