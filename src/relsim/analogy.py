@@ -62,13 +62,29 @@ def score_questions(questions: Sequence[AnalogyQuestion],
                     tie_break: str = "random") -> tuple[np.ndarray, ...]:
     """nearest_two's arrays over the questions' choices (best, second,
     margin), and a boolean array marking the questions whose stem vector is
-    all zeros; outcomes_at applies a threshold afterwards."""
+    all zeros; outcomes_at applies a threshold afterwards.
+
+    The questions of one choice count are scored BLOCK at a time, one
+    cosines call per choice position over the block's stems. That is still
+    one dot product per stem and choice, so each cosine keeps the bits of a
+    call over its question alone, and a block gathers two BLOCK x d arrays,
+    not one of every choice.
+    """
     table = np.full((len(questions), max((len(q.choices) for q in questions), default=0)),
                     -np.inf)
-    for row, q in zip(table, questions):
-        row[:len(q.choices)] = cosines(vectors[q.stem.key()].r,
-                                       [vectors[c.key()].r for c in q.choices])
-    zero = np.array([vectors[q.stem.key()].is_zero() for q in questions], dtype=bool)
+    zero = np.zeros(len(questions), dtype=bool)
+    by_count: dict[int, list[int]] = {}
+    for i, q in enumerate(questions):
+        by_count.setdefault(len(q.choices), []).append(i)
+    for n, members in by_count.items():
+        for lo in range(0, len(members), BLOCK):
+            block = members[lo:lo + BLOCK]
+            stems = [vectors[questions[i].stem.key()] for i in block]
+            zero[block] = [v.is_zero() for v in stems]
+            stems = np.array([v.r for v in stems])
+            for j in range(n):
+                table[block, j] = cosines(stems, np.array(
+                    [vectors[questions[i].choices[j].key()].r for i in block]))
     return (*nearest_two(table, seed, tie_break), zero)
 
 

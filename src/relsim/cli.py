@@ -237,12 +237,15 @@ def sat_rank(questions_file, cache_path, index_path, terms_path, top):
     vectors = _checked_cache(cache_path, index_path, terms_path).vectors_for(
         [p for q in questions for p in q.pairs()])
     ranks = analogy.pool_ranks(questions, vectors)
+    if not ranks:
+        raise InputError(f"{questions_file}: no question to rank: all {len(questions)} "
+                         "stem vectors are all zeros")
 
     total = len(ranks)
     click.echo(f"questions: {total} (dropped {len(questions) - total} with zero stem vectors)")
     click.echo("rank\tmatches\tmatches%\tcumulative\tcumulative%")
     for row in analogy.cumulative_top_k(list(ranks.values()), top):
-        m_pct = _pct(row.matches / total if total else 0.0)
+        m_pct = _pct(row.matches / total)
         click.echo(f"{row.k}\t{row.matches}\t{m_pct}\t{row.cumulative}\t{_pct(row.cumulative_pct)}")
 
 

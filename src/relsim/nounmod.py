@@ -123,10 +123,12 @@ class LoocvResult:
     total: int
 
 
-def loocv_thresholds(vectors: Sequence[RelationVector], labels: Sequence[str],
-                     thresholds: Sequence[float], granularity: int = 30,
-                     seed: int = 0, tie_break: str = "random") -> list[LoocvResult]:
-    """loocv at each threshold in turn; every item is scored once."""
+def loocv_scores(vectors: Sequence[RelationVector], labels: Sequence[str],
+                 granularity: int = 30, seed: int = 0, tie_break: str = "random"
+                 ) -> tuple[tuple[str, ...], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Score every item once against all the others: the classes, and as
+    class numbers each item's true class, the class of its nearest
+    neighbour and that of its runner-up, then nearest_two's margin."""
     if len(vectors) != len(labels):
         raise ValueError("one label per vector required")
     if len(vectors) < 2:
@@ -148,14 +150,10 @@ def loocv_thresholds(vectors: Sequence[RelationVector], labels: Sequence[str],
         np.fill_diagonal(table[:, lo:], -np.inf)
         blocks.append(nearest_two(table, seed, tie_break, start=lo))
         del table  # so that cosines builds the next block's table without this one alive
-    best, second, margins = map(np.concatenate, zip(*blocks))
+    best, second, margin = map(np.concatenate, zip(*blocks))
     number = {c: k for k, c in enumerate(classes)}
     true = np.array([number[lab] for lab in labels])
-    first, second = true[best], true[second]
-    # A class shared by both nearest neighbours is guessed whatever the threshold.
-    return [_tally(true, first, second, np.where(first == second, 1, guess_count(margins, t)),
-                   classes)
-            for t in thresholds]
+    return classes, true, true[best], true[second], margin
 
 
 def loocv(vectors: Sequence[RelationVector], labels: Sequence[str],
@@ -168,8 +166,11 @@ def loocv(vectors: Sequence[RelationVector], labels: Sequence[str],
     guess: a guess of the true class is a TP, any other guess an FP to the
     guessed class, and a true class left unguessed an FN.
     """
-    return loocv_thresholds(vectors, labels, [threshold], granularity, seed,
-                            tie_break)[0]
+    classes, true, first, second, margin = loocv_scores(vectors, labels, granularity, seed,
+                                                        tie_break)
+    # A class shared by both nearest neighbours is guessed whatever the threshold.
+    return _tally(true, first, second,
+                  np.where(first == second, 1, guess_count(margin, threshold)), classes)
 
 
 def _tally(true: np.ndarray, first: np.ndarray, second: np.ndarray, count: np.ndarray,

@@ -18,6 +18,8 @@ count it returns must keep the count rule (hit_counts).
 
 from __future__ import annotations
 
+import functools
+import struct
 import sys
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
@@ -134,6 +136,12 @@ def hit_counts(raw: Sequence) -> tuple[int, ...]:
     return counts
 
 
+@functools.lru_cache(maxsize=8)
+def _int64_row(n: int) -> struct.Struct:
+    """n counts packed as native int64."""
+    return struct.Struct(f"={n}q")
+
+
 @dataclass
 class RelationVector:
     pair: WordPair
@@ -147,8 +155,16 @@ class RelationVector:
     @staticmethod
     def from_counts(pair: WordPair, counts: tuple[int, ...]) -> "RelationVector":
         """from_raw for counts already known to keep the count rule: the
-        output of hit_counts, or LocalIndexProvider.pair_counts' sums."""
-        return RelationVector(pair, counts, np.log1p(np.asarray(counts, dtype=float)))
+        output of hit_counts, or LocalIndexProvider.pair_counts' sums.
+
+        The counts go to numpy packed in one int64 buffer, or as Python
+        ints when one is past int64; either cast to float rounds each
+        count as float() does."""
+        try:
+            counts_array = np.frombuffer(_int64_row(len(counts)).pack(*counts), dtype=np.int64)
+        except struct.error:  # a count past int64
+            counts_array = np.asarray(counts, dtype=float)
+        return RelationVector(pair, counts, np.log1p(counts_array, dtype=float))
 
     def is_zero(self) -> bool:
         return not any(self.raw)

@@ -8,11 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from relsim import analogy
 from relsim.analogy import (AnalogyQuestion, GuessOutcome, cumulative_top_k,
                             decide, evaluate, f_measure, load_questions,
                             pool_ranks, rank_pool, raw_sat_score, solve_all)
 from relsim.errors import DataFormatError
-from relsim.similarity import BLOCK, question_rng, top_two
+from relsim.similarity import BLOCK, cosines, nearest_two, question_rng, top_two
 from relsim.sweep import NOUNMOD_GRID, SAT_GRID, grid_thresholds, sat_sweep
 from relsim.vectors import RelationVector, WordPair, cosine
 
@@ -61,6 +62,33 @@ class TestScoreChoices:
         out = solve_one([1, 0], [[1, 0], [0, 1], [1, 1]], threshold=-1.0)
         assert out.guesses == (0, 2)  # best, then the runner-up
         assert out.margin == pytest.approx(1.0 - 1 / math.sqrt(2))
+
+    @pytest.mark.parametrize("tie_break", ["random", "first"])
+    def test_blocked_table_equals_per_question_cosines(self, monkeypatch, tie_break):
+        """score_questions scores BLOCK questions of one choice count at a
+        time; each cosine keeps the bits of a call over that question alone."""
+        rng = np.random.default_rng(8)
+        questions, vectors = [], {}
+        for k in range(3 * BLOCK + 11):
+            n = int(rng.choice([4, 5, 6]))
+            stem = WordPair(f"s{k}", f"t{k}")
+            choices = tuple(WordPair(f"c{k}_{j}", f"d{k}_{j}") for j in range(n))
+            questions.append(AnalogyQuestion(stem, choices, k % n))
+            for pair in (stem, *choices):
+                vectors[pair.key()] = vec(rng.integers(0, 30, 128) * (k % 9 > 0 or pair != stem))
+        tables = []
+        monkeypatch.setattr(analogy, "nearest_two",
+                            lambda table, *args: tables.append(table) or nearest_two(table, *args))
+        *scores, zero = analogy.score_questions(questions, vectors, 3, tie_break)
+        expected = np.full((len(questions), 6), -np.inf)
+        for row, q in zip(expected, questions):
+            row[:len(q.choices)] = cosines(vectors[q.stem.key()].r,
+                                           [vectors[c.key()].r for c in q.choices])
+        assert tables[0].tobytes() == expected.tobytes()
+        assert zero.tolist() == [vectors[q.stem.key()].is_zero() for q in questions]
+        assert 0 < zero.sum() < len(questions)
+        for got, want in zip(scores, nearest_two(expected, 3, tie_break)):
+            assert got.tobytes() == want.tobytes()
 
 
 class TestDecide:

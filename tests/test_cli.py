@@ -259,7 +259,8 @@ class TestSatSolve:
         assert result.exit_code == 0, result.output
         assert "cumulative" in result.output
 
-    def test_rank_with_only_zero_stems(self, runner, tmp_path):
+    def test_rank_with_only_zero_stems(self, capsys, tmp_path):
+        """No question can be ranked: an input error naming the file, not a table of zeros."""
         q = tmp_path / "questions.tsv"
         q.write_text("a:b\tc:d\te:f\ta\ng:h\ti:j\tk:l\tb\n")
         cache = VectorCache("digest", "checksum")
@@ -268,13 +269,11 @@ class TestSatSolve:
         for key in ("c:d", "e:f", "i:j", "k:l"):
             cache.put(WordPair.from_key(key), [1] * 128)
         cache.save(tmp_path / "cache.tsv")
-        result = runner.invoke(cli, ["sat", "rank", str(q), "--cache", str(tmp_path / "cache.tsv"),
-                                     "--top", "2"])
-        assert result.exit_code == 0, result.output
-        assert result.output == ("questions: 0 (dropped 2 with zero stem vectors)\n"
-                                 "rank\tmatches\tmatches%\tcumulative\tcumulative%\n"
-                                 "1\t0\t0.0%\t0\t0.0%\n"
-                                 "2\t0\t0.0%\t0\t0.0%\n")
+        code, out, err = run_main(capsys, "sat", "rank", str(q), "--cache",
+                                  str(tmp_path / "cache.tsv"), "--top", "2")
+        assert code == 1, err
+        assert err == f"error: {q}: no question to rank: all 2 stem vectors are all zeros\n"
+        assert out == ""
 
 
 class TestNounmodEval:

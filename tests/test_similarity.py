@@ -1,15 +1,17 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from relsim.analogy import AnalogyQuestion, solve_all
-from relsim.nounmod import loocv, loocv_thresholds
-from relsim.similarity import BLOCK, cosines, guess_count, nearest_two, question_rng, top_two
-from relsim.sweep import (NOUNMOD_GRID, SAT_GRID, grid_thresholds,
-                          nounmod_sweep, sat_sweep)
+from relsim.analogy import AnalogyQuestion, evaluate, outcomes_at, score_questions, solve_all
+from relsim.nounmod import ALL_ABBREVIATIONS, loocv, loocv_scores, macroaverage
+from relsim.similarity import (BLOCK, TIE_BREAKS, cosines, guess_count, nearest_two,
+                               question_rng, top_two)
+from relsim.sweep import (NOUNMOD_GRID, SAT_GRID, SweepRow, grid_thresholds,
+                          nounmod_sweep, rows_to_csv, sat_sweep)
 from relsim.vectors import RelationVector, WordPair, cosine
 
 from oracles import oracle_cosine, oracle_loocv_confusion, oracle_margin_rule, oracle_ranked
@@ -17,6 +19,11 @@ from oracles import oracle_cosine, oracle_loocv_confusion, oracle_margin_rule, o
 
 def vec(raw):
     return RelationVector.from_raw(WordPair("a", "b"), raw)
+
+
+def loocv_confusions(vectors, labels, grid, seed=0, tie_break="first"):
+    """The 30-class LOOCV confusion at each threshold of the grid."""
+    return [loocv(vectors, labels, t, 30, seed, tie_break).confusion for t in grid]
 
 
 @st.composite
@@ -239,10 +246,8 @@ class TestLoocvOracle:
                                     min_size=len(rows), max_size=len(rows)))
         grid = grid_thresholds(*NOUNMOD_GRID)
         vectors = [vec(r) for r in rows]
-        results = loocv_thresholds(vectors, labels, grid, 30, tie_break="first")
-        for t, result in zip(grid, results):
-            expected = oracle_loocv_confusion([list(v.r) for v in vectors], labels, t)
-            assert result.confusion == expected
+        for t, confusion in zip(grid, loocv_confusions(vectors, labels, grid)):
+            assert confusion == oracle_loocv_confusion([list(v.r) for v in vectors], labels, t)
 
 
 # The ...636 is the rounding of a dot product summed with fused multiply-adds,
@@ -257,10 +262,8 @@ def test_loocv_counterexample_with_parallel_rows():
     labels = ["ag", "ag", "ag", "cs", "ag"]
     vectors = [vec(r) for r in rows]
     grid = grid_thresholds(*NOUNMOD_GRID)
-    results = loocv_thresholds(vectors, labels, grid, 30, tie_break="first")
-    for t, result in zip(grid, results):
-        expected = oracle_loocv_confusion([list(v.r) for v in vectors], labels, t)
-        assert result.confusion == expected
+    for t, confusion in zip(grid, loocv_confusions(vectors, labels, grid)):
+        assert confusion == oracle_loocv_confusion([list(v.r) for v in vectors], labels, t)
 
 
 # The opposite direction: here the program ties what the oracle splits. The
@@ -275,10 +278,23 @@ def test_loocv_counterexample_with_tied_parallel_rows():
     labels = ["ag", "ag", "ag", "ag", "ag", "cs", "ag"]
     vectors = [vec(r) for r in rows]
     grid = grid_thresholds(*NOUNMOD_GRID)
-    results = loocv_thresholds(vectors, labels, grid, 30, tie_break="first")
-    for t, result in zip(grid, results):
-        expected = oracle_loocv_confusion([list(v.r) for v in vectors], labels, t)
-        assert result.confusion == expected
+    for t, confusion in zip(grid, loocv_confusions(vectors, labels, grid)):
+        assert confusion == oracle_loocv_confusion([list(v.r) for v in vectors], labels, t)
+
+
+# Identical rows split against a parallel one: the program ranks the parallel
+# row first, the oracle the identical ones. The same caveat holds.
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 4: the probe [5, 8] gets cosine ...382 to the identical rows "
+    "[8, 8] and ...383 to the parallel row [4, 4], where the oracle gives ...384 "
+    "and ...383, so the best neighbour differs"))
+def test_loocv_counterexample_with_identical_and_parallel_rows():
+    rows = [[8, 8], [4, 4], [5, 8], [8, 8], [0, 0]]
+    labels = ["ag", "ag", "ag", "cs", "ag"]
+    vectors = [vec(r) for r in rows]
+    grid = grid_thresholds(*NOUNMOD_GRID)
+    for t, confusion in zip(grid, loocv_confusions(vectors, labels, grid)):
+        assert confusion == oracle_loocv_confusion([list(v.r) for v in vectors], labels, t)
 
 
 def reference_solve(questions, vectors, threshold, seed, tie_break):
@@ -374,8 +390,100 @@ class TestScoreTables:
                 for g in guesses or (None,):
                     key = (labels[i], g)
                     expected[t][key] = expected[t].get(key, 0) + 1
-        results = loocv_thresholds(vectors, labels, grid, 30, seed, "random")
-        assert [r.confusion for r in results] == [expected[t] for t in grid]
+        assert loocv_confusions(vectors, labels, grid, seed, "random") == [expected[t] for t in grid]
+
+
+@st.composite
+def edge_thresholds(draw, margins):
+    """Thresholds in any order, with repeats: at and next to each +-margin,
+    where guess_count steps, and on the paper's grids."""
+    edges = [0.0, *grid_thresholds(*SAT_GRID)]
+    for m in np.asarray(margins).tolist():
+        for t in (m, -m):
+            edges += [t, float(np.nextafter(t, np.inf)), float(np.nextafter(t, -np.inf))]
+    return draw(st.lists(st.sampled_from(edges), min_size=1, max_size=24))
+
+
+def sweep_csv(rows):
+    """The CSV of SweepRows: a float column compares by its repr, so bit for bit."""
+    return rows_to_csv([SweepRow(*row) for row in rows])
+
+
+class TestSweepRows:
+    """Each sweep row against the per-threshold reports it stands for."""
+
+    @settings(deadline=None)
+    @given(st.data(), st.integers(0, 5), st.sampled_from(TIE_BREAKS))
+    def test_sat_rows_match_evaluate_at_each_threshold(self, data, seed, tie_break):
+        rows = data.draw(tie_heavy_rows(min_rows=7))
+        questions, vectors = [], {}
+        for k in range(data.draw(st.integers(1, 6))):
+            n = data.draw(st.integers(2, 6))
+            picks = data.draw(st.lists(st.sampled_from(rows), min_size=n + 1, max_size=n + 1))
+            stem = WordPair(f"s{k}", f"t{k}")
+            choices = tuple(WordPair(f"c{k}_{j}", f"d{k}_{j}") for j in range(n))
+            questions.append(AnalogyQuestion(stem, choices, data.draw(st.integers(0, n - 1))))
+            for pair, raw in zip((stem, *choices), picks):
+                vectors[pair.key()] = vec(raw)
+        scores = score_questions(questions, vectors, seed, tie_break)
+        thresholds = data.draw(edge_thresholds(scores[2]))
+        expected = []
+        for t in thresholds:
+            r = evaluate(questions, outcomes_at(scores, t))
+            expected.append((t, r.precision, r.recall, r.f, r.guesses_made, r.skipped, r.doubles))
+        assert rows_to_csv(sat_sweep(questions, vectors, thresholds, seed, tie_break)) \
+            == sweep_csv(expected)
+
+    @settings(deadline=None)
+    @given(st.data(), st.integers(0, 5), st.sampled_from(TIE_BREAKS), st.sampled_from([30, 5]))
+    def test_nounmod_rows_match_loocv_at_each_threshold(self, data, seed, tie_break,
+                                                        granularity):
+        rows = data.draw(tie_heavy_rows())
+        labels = data.draw(st.lists(st.sampled_from(["ag", "cs", "meas", "tat"]),
+                                    min_size=len(rows), max_size=len(rows)))
+        vectors = [vec(r) for r in rows]
+        margins = loocv_scores(vectors, labels, granularity, seed, tie_break)[-1]
+        thresholds = data.draw(edge_thresholds(margins))
+        expected = []
+        for t in thresholds:
+            r = loocv(vectors, labels, t, granularity, seed, tie_break)
+            expected.append((t, *macroaverage(r.per_class), r.guesses_made, r.abstained,
+                             r.doubles))
+        assert rows_to_csv(nounmod_sweep(vectors, labels, thresholds, granularity, seed,
+                                         tie_break)) == sweep_csv(expected)
+
+    def test_a_long_grid_equals_its_parts(self):
+        """The rows do not depend on where the grid is cut into the chunks
+        it is counted in."""
+        rng = np.random.default_rng(5)
+        vectors = [vec(r) for r in rng.integers(0, 4, (40, 6))]
+        labels = [ALL_ABBREVIATIONS[i] for i in rng.integers(0, 5, 40)]
+        questions = [AnalogyQuestion(WordPair(f"s{k}", f"t{k}"),
+                                     tuple(WordPair(f"c{k}_{j}", f"d{k}_{j}") for j in range(5)),
+                                     k % 5) for k in range(8)]
+        by_key = {p.key(): vectors[(5 * k + j) % 40]
+                  for k, q in enumerate(questions) for j, p in enumerate(q.pairs())}
+        grid = grid_thresholds(-0.5, 0.5, 0.0004)
+        for cut in (1, 1234, len(grid) - 1):
+            for sweep, args in ((sat_sweep, (questions, by_key)), (nounmod_sweep, (vectors, labels))):
+                assert rows_to_csv(sweep(*args, grid)) == \
+                    rows_to_csv(sweep(*args, grid[:cut]) + sweep(*args, grid[cut:]))
+
+    def test_nounmod_sweep_memory_per_grid_point(self):
+        """A sweep holds its rows and a bounded chunk of counts, not a
+        LoocvResult per threshold (about 35 KB each at 30 classes)."""
+        rng = np.random.default_rng(6)
+        vectors = [vec(r) for r in rng.integers(0, 50, (200, 128))]
+        labels = [ALL_ABBREVIATIONS[i] for i in rng.integers(0, 30, 200)]
+        grid = grid_thresholds(-0.1, 0.1, 0.0001)
+        tracemalloc.start()
+        try:
+            rows = nounmod_sweep(vectors, labels, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == len(grid) == 2001
+        assert peak / len(grid) < 4096
 
 
 class TestTieBreakValidation:

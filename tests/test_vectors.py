@@ -194,6 +194,15 @@ class TestWordPair:
             assert got.r.dtype == want.r.dtype and got.r.tobytes() == want.r.tobytes()
             assert got.r.tobytes() == np.log1p(np.array(row, dtype=np.float64)).tobytes()
 
+    @given(st.lists(st.one_of(st.integers(0, 2 ** 64), st.sampled_from(
+        [2 ** 53 + 1, 2 ** 63 - 1, 2 ** 63, 10 ** 25, LARGEST])), max_size=130))
+    def test_from_counts_rounds_each_count_as_float_does(self, counts):
+        """Counts within int64 go through one int64 buffer, larger ones
+        through Python floats; each element is log1p(float(count))."""
+        v = RelationVector.from_counts(WordPair("a", "b"), tuple(counts))
+        assert v.r.dtype == np.float64 and v.r.shape == (len(counts),)
+        assert v.r.tobytes() == np.log1p([float(c) for c in counts]).tobytes()
+
 
 class TestGenerateQueries:
     def test_always_128(self):
