@@ -133,6 +133,17 @@ def f_measure(precision: float, recall: float) -> float:
     return 2 * precision * recall / (precision + recall)
 
 
+def precision_recall_f(tp: np.ndarray, guessed: np.ndarray, size: np.ndarray
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """EvalReport's precision tp / guessed, recall tp / size and F, bit for
+    bit, elementwise over int arrays broadcast to tp's shape (per class)."""
+    def ratio(num, den):  # 0.0 where den is 0
+        return np.divide(num, den, out=np.zeros(num.shape), where=den != 0)
+
+    p, r = ratio(tp, guessed), ratio(tp, size)
+    return p, r, ratio(2 * p * r, p + r)
+
+
 def evaluate(questions: Sequence[AnalogyQuestion],
              outcomes: Sequence[GuessOutcome]) -> EvalReport:
     """A question is correct if its answer is among the guesses; every

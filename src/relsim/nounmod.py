@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .analogy import f_measure
+from .analogy import precision_recall_f
 from .errors import DataFormatError
 from .fileio import read_rows
 from .similarity import BLOCK, cosines, guess_count, nearest_two
@@ -128,7 +128,9 @@ def loocv_scores(vectors: Sequence[RelationVector], labels: Sequence[str],
                  ) -> tuple[tuple[str, ...], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Score every item once against all the others: the classes, and as
     class numbers each item's true class, the class of its nearest
-    neighbour and that of its runner-up, then nearest_two's margin."""
+    neighbour and that of its runner-up, then nearest_two's margin, or
+    +inf where both neighbours share a class: that one class is guessed
+    once at every threshold (guess_count gives 1 at any t but NaN)."""
     if len(vectors) != len(labels):
         raise ValueError("one label per vector required")
     if len(vectors) < 2:
@@ -153,7 +155,8 @@ def loocv_scores(vectors: Sequence[RelationVector], labels: Sequence[str],
     best, second, margin = map(np.concatenate, zip(*blocks))
     number = {c: k for k, c in enumerate(classes)}
     true = np.array([number[lab] for lab in labels])
-    return classes, true, true[best], true[second], margin
+    first, second = true[best], true[second]
+    return classes, true, first, second, np.where(first == second, np.inf, margin)
 
 
 def loocv(vectors: Sequence[RelationVector], labels: Sequence[str],
@@ -168,15 +171,14 @@ def loocv(vectors: Sequence[RelationVector], labels: Sequence[str],
     """
     classes, true, first, second, margin = loocv_scores(vectors, labels, granularity, seed,
                                                         tie_break)
-    # A class shared by both nearest neighbours is guessed whatever the threshold.
-    return _tally(true, first, second,
-                  np.where(first == second, 1, guess_count(margin, threshold)), classes)
+    return _tally(true, first, second, guess_count(margin, threshold), classes)
 
 
 def _tally(true: np.ndarray, first: np.ndarray, second: np.ndarray, count: np.ndarray,
            classes: Sequence[str]) -> LoocvResult:
     """Score item i, of class number true[i], guessing the first count[i]
-    of (first[i], second[i]); a count of 2 needs first[i] != second[i]."""
+    of (first[i], second[i]), with analogy.precision_recall_f per class; a
+    count of 2 needs first[i] != second[i], as loocv_scores' margins keep."""
     n = len(classes)
     # One (true, guessed) cell per guess; guessed n stands for an abstention.
     owner = np.concatenate([true, true[count == 2]])
@@ -187,11 +189,9 @@ def _tally(true: np.ndarray, first: np.ndarray, second: np.ndarray, count: np.nd
     names = (*classes, None)
     confusion = {(names[t], names[g]): k
                  for (t, g), k in zip(np.argwhere(cells).tolist(), cells[cells > 0].tolist())}
-    per_class = []
-    for c, tp_c, fp_c, fn_c in zip(classes, tp.tolist(), fp.tolist(), fn.tolist()):
-        p = tp_c / (tp_c + fp_c) if tp_c + fp_c else 0.0
-        r = tp_c / (tp_c + fn_c) if tp_c + fn_c else 0.0
-        per_class.append(ClassMetrics(c, tp_c + fn_c, tp_c, fp_c, fn_c, p, r, f_measure(p, r)))
+    size = tp + fn
+    per_class = list(map(ClassMetrics, classes, *(a.tolist() for a in (
+        size, tp, fp, fn, *precision_recall_f(tp, tp + fp, size)))))
     abstained, singles, doubles = np.bincount(count, minlength=3).tolist()
     return LoocvResult(per_class, confusion, guesses_made=singles + 2 * doubles,
                        abstained=abstained, doubles=doubles, correct=int(tp.sum()),

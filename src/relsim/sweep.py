@@ -8,17 +8,19 @@ both sums are rows of cumulative-sum tables, found by np.searchsorted for
 CHUNK thresholds at a time. A grid point costs two searches, a few array
 rows and its SweepRow: no per-threshold outcome, report or confusion, and
 no count array longer than CHUNK thresholds.
+Both sweeps build their rows in _sweep_rows: a noun-modifier pair guesses
+loocv_scores' classes, a SAT question one class, "the answer".
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .analogy import AnalogyQuestion, EvalReport, score_questions
+from .analogy import AnalogyQuestion, precision_recall_f, score_questions
 from .nounmod import loocv_scores
 from .vectors import RelationVector
 
@@ -54,29 +56,32 @@ def grid_thresholds(lo: float, hi: float, step: float) -> list[float]:
     return [round(lo + i * step, 10) for i in range(math.floor(spans) + 1)]
 
 
-def _threshold_sums(margin: np.ndarray, once: np.ndarray, twice: np.ndarray,
-                    thresholds: Sequence[float]
-                    ) -> Iterator[tuple[Sequence[float], np.ndarray, np.ndarray, np.ndarray]]:
-    """The margin rule's counts at every threshold, CHUNK thresholds at a time.
-
-    Item i guesses at t when t <= margin[i] and guesses twice when
-    t < -margin[i]; an infinite margin guesses once at every finite t. For
-    each chunk this yields its thresholds; the sum of once's rows over the
-    items guessing plus that of twice's rows over those guessing twice; and
-    the numbers of items guessing and of those guessing twice.
+def _sweep_rows(margin: np.ndarray, first: np.ndarray, second: np.ndarray,
+                hit_first: np.ndarray, hit_second: np.ndarray, size: np.ndarray,
+                total: int, thresholds: Sequence[float]) -> list[SweepRow]:
+    """One row per threshold. Item i guesses class first[i] (a hit where
+    hit_first[i]) when t <= margin[i], and also class second[i] when
+    t < -margin[i]; an infinite margin guesses once at every finite t.
+    Per-class counts give analogy.precision_recall_f against the class
+    sizes, macroaveraged as macroaverage sums, in class order. Of the total
+    items, those not guessing are skipped, as are any the caller left out.
     """
+    n = len(size)
     order = np.argsort(margin, kind="stable")
     margin = margin[order]
 
-    def prefix(weights: np.ndarray) -> np.ndarray:
-        """Row k: the sum of the weight rows of the k items of lowest margin,
-        then k itself."""
-        table = np.zeros((len(order) + 1, weights.shape[1] + 1), dtype=np.int32)
-        table[1:, :-1] = weights[order]
+    def prefix(guess: np.ndarray, hit: np.ndarray) -> np.ndarray:
+        """Row k, over the k items of lowest margin: the guesses of each
+        class, the hits of each class, then k itself."""
+        guesses = np.eye(n, dtype=bool)[guess[order]]
+        table = np.zeros((len(order) + 1, 2 * n + 1), dtype=np.int32)
+        table[1:, :n] = guesses
+        table[1:, n:-1] = guesses & hit[order, None]
         table[1:, -1] = 1
         return np.cumsum(table, axis=0, dtype=np.int32, out=table)
 
-    once, twice = prefix(once), prefix(twice)
+    once, twice = prefix(first, hit_first), prefix(second, hit_second)
+    rows = []
     for lo in range(0, len(thresholds), CHUNK):
         ts = thresholds[lo:lo + CHUNK]
         t = np.asarray(ts, dtype=float)
@@ -84,7 +89,15 @@ def _threshold_sums(margin: np.ndarray, once: np.ndarray, twice: np.ndarray,
         # twice end before the first margin >= -t.
         guessing = once[-1] - once[np.searchsorted(margin, t)]
         doubling = twice[np.searchsorted(margin, -t)]
-        yield ts, guessing[:, :-1] + doubling[:, :-1], guessing[:, -1], doubling[:, -1]
+        counts = guessing[:, :-1] + doubling[:, :-1]
+        # Python's sum, as macroaverage takes it: from 3.12 on it compensates,
+        # so a numpy sum could differ from it in the last bit.
+        p, r, f = ([sum(row) / n for row in a.tolist()]
+                   for a in precision_recall_f(counts[:, n:], counts[:, :n], size))
+        for t, p_t, r_t, f_t, g, d in zip(ts, p, r, f, guessing[:, -1].tolist(),
+                                           doubling[:, -1].tolist()):
+            rows.append(SweepRow(t, p_t, r_t, f_t, g + d, total - g, d))
+    return rows
 
 
 def sat_sweep(questions: Sequence[AnalogyQuestion],
@@ -92,56 +105,26 @@ def sat_sweep(questions: Sequence[AnalogyQuestion],
               thresholds: Sequence[float], seed: int = 0,
               tie_break: str = "random") -> list[SweepRow]:
     """One row per threshold: the EvalReport of the margin policy's outcomes
-    there (analogy.outcomes_at), from the questions scored once."""
+    there (analogy.outcomes_at), from the questions scored once. Every
+    guess is of one class, the answer, of size the number of questions."""
     best, second, margin, zero = score_questions(questions, vectors, seed, tie_break)
     answer = np.array([q.answer for q in questions], dtype=int)
     live = ~zero  # a question with an all-zero stem is skipped at every threshold
-    total = len(questions)
-    rows = []
-    for ts, correct, guessing, doubles in _threshold_sums(
-            margin[live], (answer == best)[live, None], (answer == second)[live, None],
-            thresholds):
-        for t, c, g, d in zip(ts, correct[:, 0].tolist(), guessing.tolist(), doubles.tolist()):
-            r = EvalReport(c, g - c, total - g, g + d, d, total)
-            rows.append(SweepRow(t, r.precision, r.recall, r.f, r.guesses_made, r.skipped,
-                                 r.doubles))
-    return rows
-
-
-def _ratios(num: np.ndarray, den: np.ndarray) -> np.ndarray:
-    """num / den elementwise, 0.0 where den is 0, as nounmod._tally divides."""
-    out = np.zeros(np.broadcast_shapes(num.shape, den.shape))
-    return np.divide(num, den, out=out, where=den != 0)
+    one_class = np.zeros(np.count_nonzero(live), dtype=int)
+    return _sweep_rows(margin[live], one_class, one_class, (answer == best)[live],
+                       (answer == second)[live], np.array([len(questions)]), len(questions),
+                       thresholds)
 
 
 def nounmod_sweep(vectors: Sequence[RelationVector], labels: Sequence[str],
                   thresholds: Sequence[float], granularity: int = 30,
                   seed: int = 0, tie_break: str = "random") -> list[SweepRow]:
     """One row per threshold: the macroaverage and guess counts of loocv
-    there, from the items scored once. Per-class precision, recall and F
-    take nounmod._tally's arithmetic on arrays; each macroaverage is
-    macroaverage's sum over the classes in their order."""
+    there, from the items scored once (nounmod.loocv_scores)."""
     classes, true, first, second, margin = loocv_scores(vectors, labels, granularity, seed,
                                                         tie_break)
-    # A class shared by both nearest neighbours is guessed once at every threshold.
-    margin = np.where(first == second, np.inf, margin)
-    n = len(classes)
-    eye = np.eye(n, dtype=bool)
-    # Columns: the guesses of each class, then the true positives of each class.
-    once = np.hstack([eye[first], eye[first] & (first == true)[:, None]])
-    twice = np.hstack([eye[second], eye[second] & (second == true)[:, None]])
-    size = np.bincount(true, minlength=n)
-    rows = []
-    for ts, counts, guessing, doubles in _threshold_sums(margin, once, twice, thresholds):
-        guessed, tp = counts[:, :n], counts[:, n:]
-        p, r = _ratios(tp, guessed), _ratios(tp, size)
-        f = _ratios(2 * p * r, p + r)
-        # Python's sum, as macroaverage takes it: from 3.12 on it compensates,
-        # so a numpy sum could differ from it in the last bit.
-        p, r, f = ([sum(row) / n for row in a.tolist()] for a in (p, r, f))
-        for t, p_t, r_t, f_t, g, d in zip(ts, p, r, f, guessing.tolist(), doubles.tolist()):
-            rows.append(SweepRow(t, p_t, r_t, f_t, g + d, len(true) - g, d))
-    return rows
+    return _sweep_rows(margin, first, second, first == true, second == true,
+                       np.bincount(true, minlength=len(classes)), len(true), thresholds)
 
 
 def rows_to_csv(rows: Sequence[SweepRow]) -> str:

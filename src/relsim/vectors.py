@@ -21,7 +21,7 @@ from __future__ import annotations
 import functools
 import struct
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -146,7 +146,7 @@ def _int64_row(n: int) -> struct.Struct:
 class RelationVector:
     pair: WordPair
     raw: tuple[int, ...]
-    r: np.ndarray
+    r: np.ndarray = field(compare=False)  # log1p of raw, so == compares pair and raw
 
     @staticmethod
     def from_raw(pair: WordPair, raw: Sequence[int]) -> "RelationVector":

@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relsim import analogy
-from relsim.analogy import (AnalogyQuestion, GuessOutcome, cumulative_top_k,
-                            decide, evaluate, f_measure, load_questions,
-                            pool_ranks, rank_pool, raw_sat_score, solve_all)
+from relsim.analogy import (AnalogyQuestion, EvalReport, GuessOutcome, cumulative_top_k,
+                            decide, evaluate, f_measure, load_questions, pool_ranks,
+                            precision_recall_f, rank_pool, raw_sat_score, solve_all)
 from relsim.errors import DataFormatError
 from relsim.similarity import BLOCK, cosines, nearest_two, question_rng, top_two
 from relsim.sweep import NOUNMOD_GRID, SAT_GRID, grid_thresholds, sat_sweep
@@ -432,3 +432,25 @@ def test_f_measure_between_min_and_max():
         p, r = rng.random(), rng.random()
         f = f_measure(p, r)
         assert min(p, r) <= f <= max(p, r) + 1e-15
+
+
+@settings(deadline=None)
+@given(st.data(), st.sampled_from([np.int32, np.int64]))
+def test_precision_recall_f_equals_eval_report(data, dtype):
+    """The array ratios are EvalReport's and f_measure's, bit for bit, over
+    a rows x classes table of counts against per-class sizes (as a sweep
+    passes them) with zero denominators among them."""
+    rows, n = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 6))
+    count = st.just(0) | st.sampled_from([1, 2, 3, 7, 2 ** 30 - 1]) | st.integers(0, 2 ** 30 - 1)
+    tp = [[data.draw(count) for _ in range(n)] for _ in range(rows)]
+    guessed = [[k + data.draw(count) for k in row] for row in tp]
+    size = [max(col) + data.draw(count) for col in zip(*tp)]
+    p, r, f = precision_recall_f(*(np.array(a, dtype=dtype) for a in (tp, guessed, size)))
+    assert p.dtype == r.dtype == f.dtype == np.float64
+    for i in range(rows):
+        for c in range(n):
+            report = EvalReport(tp[i][c], guessed[i][c] - tp[i][c], 0, guessed[i][c], 0, size[c])
+            got = (p[i, c].item(), r[i, c].item(), f[i, c].item())
+            assert got == (report.precision, report.recall, report.f)
+            assert math.copysign(1, got[2]) == 1.0  # a 0.0 is +0.0, as EvalReport's is
+            assert got[2] == f_measure(got[0], got[1])

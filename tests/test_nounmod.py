@@ -1,5 +1,7 @@
 import json
+import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from relsim.nounmod import (ALL_ABBREVIATIONS, GROUPS, RELATION_CLASSES,
                             macroaverage)
 from relsim.vectors import RelationVector, WordPair
 
-from oracles import oracle_cosine, oracle_loocv_confusion, oracle_tally
+from oracles import oracle_cosine, oracle_loocv_confusion, oracle_margin_rule, oracle_tally
 
 
 def vec(raw):
@@ -153,6 +155,43 @@ class TestLoocv:
             result = loocv(vecs, labels, t, 30, tie_break="first")
             expected = oracle_loocv_confusion([list(v.r) for v in vecs], labels, t)
             assert result.confusion == expected
+
+    @pytest.mark.parametrize("t", [math.inf, -math.inf, sys.float_info.max,
+                                   -sys.float_info.max])
+    def test_shared_class_guessed_once_at_extreme_thresholds(self, t):
+        """An item whose two nearest neighbours share a class guesses it once
+        at every threshold, infinite or not; the others skip above every
+        margin and guess twice below every -margin."""
+        vecs, labels = self.random_dataset(random.Random(11), 24, 5, ["ag", "cs", "meas"])
+        raw = [list(v.r) for v in vecs]
+        guess_sets = []
+        for i in range(len(raw)):
+            j1, j2 = sorted((j for j in range(len(raw)) if j != i),
+                            key=lambda j: (-oracle_cosine(raw[i], raw[j]), j))[:2]
+            l1, l2 = labels[j1], labels[j2]
+            # Every margin lies in [0, 2], so its value cannot matter here.
+            guess_sets.append((l1,) if l1 == l2 else oracle_margin_rule(l1, l2, 1.0, t))
+        assert {len(g) for g in guess_sets} == {1, 0 if t > 0 else 2}
+        result = loocv(vecs, labels, t, 30, tie_break="first")
+        rows, confusion, made, abstained, doubles, correct = oracle_tally(
+            labels, guess_sets, ALL_ABBREVIATIONS)
+        assert [(m.label, m.size, m.tp, m.fp, m.fn, m.precision, m.recall, m.f)
+                for m in result.per_class] == rows
+        assert result.confusion == confusion
+        assert (result.guesses_made, result.abstained, result.doubles, result.correct,
+                result.total) == (made, abstained, doubles, correct, len(vecs))
+
+    def test_nan_threshold_abstains_everywhere(self):
+        """A NaN threshold fails every comparison of the margin rule, so every
+        item abstains, those whose neighbours share a class (margin +inf)
+        included, as solve_all skips every question at NaN."""
+        vecs, labels = self.random_dataset(random.Random(11), 24, 5, ["ag", "cs", "meas"])
+        assert loocv(vecs, labels, 0.0, 30).abstained == 0
+        result = loocv(vecs, labels, math.nan, 30)
+        assert (result.guesses_made, result.abstained, result.doubles, result.correct) \
+            == (0, 24, 0, 0)
+        assert set(result.confusion) == {(label, None) for label in labels}
+        assert all((m.precision, m.recall, m.f) == (0.0, 0.0, 0.0) for m in result.per_class)
 
     def test_five_class_collapse_relabels(self):
         vecs = [vec([1, 0]), vec([2, 0]), vec([0, 1]), vec([0, 2])]

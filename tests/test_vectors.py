@@ -203,6 +203,17 @@ class TestWordPair:
         assert v.r.dtype == np.float64 and v.r.shape == (len(counts),)
         assert v.r.tobytes() == np.log1p([float(c) for c in counts]).tobytes()
 
+    def test_equality_compares_pair_and_counts(self):
+        """r is derived from raw, so == compares the pair and the counts and
+        never asks an array for its truth value."""
+        def v(x, raw):
+            return RelationVector.from_raw(WordPair(x, "b"), raw)
+
+        assert v("a", [1] * 128) == v("a", [1] * 128)
+        assert v("a", [1] * 128) != v("a", [1] * 127 + [2])
+        assert v("a", [1] * 128) != v("c", [1] * 128)
+        assert v("a", [0] * 128) != v("a", [0] * 127)
+
 
 class TestGenerateQueries:
     def test_always_128(self):
