@@ -3,6 +3,7 @@ precision/recall/F accounting, and raw SAT scores."""
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -47,22 +48,22 @@ def decide(cosines: Sequence[float], threshold: float,
     """Apply the margin-threshold guess policy to a question's cosines.
 
     The margin m is the best cosine minus the second best, ties ranked as
-    in similarity.top_two. If the stem vector is all zeros the question is
-    skipped outright. Otherwise: -m <= t <= +m guesses the best choice;
-    t > m skips; t < -m guesses both the best and the second best.
+    in similarity.top_two, or NaN if the stem vector is all zeros. Then
+    -m <= t <= +m guesses the best choice; t > m skips; t < -m guesses both
+    the best and the second best; a NaN margin skips at every threshold.
     """
     if len(cosines) < 2:
         raise ValueError("need at least two cosines")
-    top = (0, 0, 0.0) if stem_is_zero else top_two(cosines, rng)
-    return outcomes_at([np.array([x]) for x in (*top, stem_is_zero)], threshold)[0]
+    top = (0, 0, math.nan) if stem_is_zero else top_two(cosines, rng)
+    return outcomes_at([np.array([x]) for x in top], threshold)[0]
 
 
 def score_questions(questions: Sequence[AnalogyQuestion],
                     vectors: dict[str, RelationVector], seed: int = 0,
                     tie_break: str = "random") -> tuple[np.ndarray, ...]:
     """nearest_two's arrays over the questions' choices (best, second,
-    margin), and a boolean array marking the questions whose stem vector is
-    all zeros; outcomes_at applies a threshold afterwards.
+    margin), margin NaN where the stem vector is all zeros, so that no
+    threshold guesses there; outcomes_at applies a threshold afterwards.
 
     The questions of one choice count are scored BLOCK at a time, one
     cosines call per choice position over the block's stems. That is still
@@ -85,15 +86,16 @@ def score_questions(questions: Sequence[AnalogyQuestion],
             for j in range(n):
                 table[block, j] = cosines(stems, np.array(
                     [vectors[questions[i].choices[j].key()].r for i in block]))
-    return (*nearest_two(table, seed, tie_break), zero)
+    best, second, margin = nearest_two(table, seed, tie_break)
+    return best, second, np.where(zero, np.nan, margin)
 
 
 def outcomes_at(scores: Sequence[np.ndarray], threshold: float) -> list[GuessOutcome]:
-    """The margin policy at one threshold over score_questions' result."""
-    best, second, margin, zero = scores
-    count = np.where(zero, 0, guess_count(margin, threshold))
-    return [GuessOutcome((b, s)[:c], 0.0 if z else m, skipped_zero_stem=z)
-            for b, s, m, c, z in zip(*(a.tolist() for a in (best, second, margin, count, zero)))]
+    """The margin policy, guess_count, at one threshold over score_questions'
+    result. A NaN margin (an all-zero stem) reads 0.0, skipped_zero_stem set."""
+    count = guess_count(scores[2], threshold)
+    return [GuessOutcome((b, s)[:c], 0.0 if math.isnan(m) else m, skipped_zero_stem=math.isnan(m))
+            for b, s, m, c in zip(*(a.tolist() for a in (*scores, count)))]
 
 
 def solve_all(questions: Sequence[AnalogyQuestion],

@@ -75,11 +75,12 @@ class LabeledNounModifier:
     label: str
 
     def __post_init__(self):
-        self.pair()  # WordPair rejects a bad member
+        # WordPair rejects a bad member. Not a field, so ==, hash and repr leave it out.
+        object.__setattr__(self, "_pair", WordPair(self.modifier, self.head))
 
     def pair(self) -> WordPair:
         """Modifier first, head second, by fixed convention."""
-        return WordPair(self.modifier, self.head)
+        return self._pair
 
 
 def _labelled_row(fields: list[str]) -> LabeledNounModifier:

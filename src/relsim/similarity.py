@@ -104,6 +104,6 @@ def nearest_two(table, seed: int = 0, tie_break: str = "random",
 
 
 def guess_count(margin, threshold):
-    """The margin rule at threshold t, for one margin or an array: 0 (skip)
-    when t > margin, 2 (best and second) when t < -margin, otherwise 1."""
+    """The margin rule at threshold t, for one margin or an array: 0 (skip) unless
+    t <= margin (never at a NaN), then 2 (best and second) when t < -margin, else 1."""
     return (threshold <= margin) * (1 + (threshold < -margin))

@@ -2,12 +2,12 @@
 
 A sweep scores each probe once. Under the margin rule (similarity.guess_count)
 a probe of margin m guesses twice at t < -m, once at -m <= t <= m and not at
-all at t > m, so every count a row needs is a sum over the probes with
-m >= t plus a sum over those with m < -t. With the probes sorted by margin,
-both sums are rows of cumulative-sum tables, found by np.searchsorted for
-CHUNK thresholds at a time. A grid point costs two searches, a few array
-rows and its SweepRow: no per-threshold outcome, report or confusion, and
-no count array longer than CHUNK thresholds.
+all at t > m or at a NaN m or t, so every count a row needs is a sum over the
+probes with m >= t plus a sum over those with -m > t. With the probes sorted
+by margin, NaN left out, both sums are rows of cumulative-sum tables, found
+by np.searchsorted for CHUNK thresholds at a time. A grid point costs two
+searches, a few array rows and its SweepRow: no per-threshold outcome,
+report or confusion, and no count array longer than CHUNK thresholds.
 Both sweeps build their rows in _sweep_rows: a noun-modifier pair guesses
 loocv_scores' classes, a SAT question one class, "the answer".
 """
@@ -58,16 +58,16 @@ def grid_thresholds(lo: float, hi: float, step: float) -> list[float]:
 
 def _sweep_rows(margin: np.ndarray, first: np.ndarray, second: np.ndarray,
                 hit_first: np.ndarray, hit_second: np.ndarray, size: np.ndarray,
-                total: int, thresholds: Sequence[float]) -> list[SweepRow]:
+                thresholds: Sequence[float]) -> list[SweepRow]:
     """One row per threshold. Item i guesses class first[i] (a hit where
     hit_first[i]) when t <= margin[i], and also class second[i] when
-    t < -margin[i]; an infinite margin guesses once at every finite t.
-    Per-class counts give analogy.precision_recall_f against the class
-    sizes, macroaveraged as macroaverage sums, in class order. Of the total
-    items, those not guessing are skipped, as are any the caller left out.
+    t < -margin[i], as guess_count: an infinite margin guesses once at every
+    finite t, a NaN margin or t never. Per-class counts give
+    analogy.precision_recall_f against the class sizes, macroaveraged as
+    macroaverage sums, in class order; the items not guessing are skipped.
     """
-    n = len(size)
-    order = np.argsort(margin, kind="stable")
+    total, n = len(margin), len(size)
+    order = np.argsort(margin, kind="stable")[:np.count_nonzero(~np.isnan(margin))]
     margin = margin[order]
 
     def prefix(guess: np.ndarray, hit: np.ndarray) -> np.ndarray:
@@ -85,18 +85,17 @@ def _sweep_rows(margin: np.ndarray, first: np.ndarray, second: np.ndarray,
     for lo in range(0, len(thresholds), CHUNK):
         ts = thresholds[lo:lo + CHUNK]
         t = np.asarray(ts, dtype=float)
-        # The items guessing start at the first margin >= t; those guessing
-        # twice end before the first margin >= -t.
+        # The items guessing start at the first margin >= t. Those guessing
+        # twice, at -margin > t, are the lowest margins; a NaN t finds neither.
         guessing = once[-1] - once[np.searchsorted(margin, t)]
-        doubling = twice[np.searchsorted(margin, -t)]
+        doubling = twice[len(margin) - np.searchsorted(-margin[::-1], t, side="right")]
         counts = guessing[:, :-1] + doubling[:, :-1]
         # Python's sum, as macroaverage takes it: from 3.12 on it compensates,
         # so a numpy sum could differ from it in the last bit.
         p, r, f = ([sum(row) / n for row in a.tolist()]
                    for a in precision_recall_f(counts[:, n:], counts[:, :n], size))
-        for t, p_t, r_t, f_t, g, d in zip(ts, p, r, f, guessing[:, -1].tolist(),
-                                           doubling[:, -1].tolist()):
-            rows.append(SweepRow(t, p_t, r_t, f_t, g + d, total - g, d))
+        g, d = guessing[:, -1], doubling[:, -1]
+        rows += map(SweepRow, ts, p, r, f, (g + d).tolist(), (total - g).tolist(), d.tolist())
     return rows
 
 
@@ -104,16 +103,14 @@ def sat_sweep(questions: Sequence[AnalogyQuestion],
               vectors: dict[str, RelationVector],
               thresholds: Sequence[float], seed: int = 0,
               tie_break: str = "random") -> list[SweepRow]:
-    """One row per threshold: the EvalReport of the margin policy's outcomes
-    there (analogy.outcomes_at), from the questions scored once. Every
+    """One row per threshold: the EvalReport of analogy.outcomes_at there,
+    from the questions scored once (an all-zero stem at margin NaN). Every
     guess is of one class, the answer, of size the number of questions."""
-    best, second, margin, zero = score_questions(questions, vectors, seed, tie_break)
+    best, second, margin = score_questions(questions, vectors, seed, tie_break)
     answer = np.array([q.answer for q in questions], dtype=int)
-    live = ~zero  # a question with an all-zero stem is skipped at every threshold
-    one_class = np.zeros(np.count_nonzero(live), dtype=int)
-    return _sweep_rows(margin[live], one_class, one_class, (answer == best)[live],
-                       (answer == second)[live], np.array([len(questions)]), len(questions),
-                       thresholds)
+    one_class = np.zeros(len(questions), dtype=int)
+    return _sweep_rows(margin, one_class, one_class, answer == best, answer == second,
+                       np.array([len(questions)]), thresholds)
 
 
 def nounmod_sweep(vectors: Sequence[RelationVector], labels: Sequence[str],
@@ -124,7 +121,7 @@ def nounmod_sweep(vectors: Sequence[RelationVector], labels: Sequence[str],
     classes, true, first, second, margin = loocv_scores(vectors, labels, granularity, seed,
                                                         tie_break)
     return _sweep_rows(margin, first, second, first == true, second == true,
-                       np.bincount(true, minlength=len(classes)), len(true), thresholds)
+                       np.bincount(true, minlength=len(classes)), thresholds)
 
 
 def rows_to_csv(rows: Sequence[SweepRow]) -> str:

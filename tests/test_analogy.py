@@ -79,16 +79,19 @@ class TestScoreChoices:
         tables = []
         monkeypatch.setattr(analogy, "nearest_two",
                             lambda table, *args: tables.append(table) or nearest_two(table, *args))
-        *scores, zero = analogy.score_questions(questions, vectors, 3, tie_break)
+        best, second, margin = analogy.score_questions(questions, vectors, 3, tie_break)
         expected = np.full((len(questions), 6), -np.inf)
         for row, q in zip(expected, questions):
             row[:len(q.choices)] = cosines(vectors[q.stem.key()].r,
                                            [vectors[c.key()].r for c in q.choices])
         assert tables[0].tobytes() == expected.tobytes()
+        zero = np.isnan(margin)  # NaN marks exactly the all-zero stems
         assert zero.tolist() == [vectors[q.stem.key()].is_zero() for q in questions]
         assert 0 < zero.sum() < len(questions)
-        for got, want in zip(scores, nearest_two(expected, 3, tie_break)):
-            assert got.tobytes() == want.tobytes()
+        want_best, want_second, want_margin = nearest_two(expected, 3, tie_break)
+        assert best.tobytes() == want_best.tobytes()
+        assert second.tobytes() == want_second.tobytes()
+        assert margin[~zero].tobytes() == want_margin[~zero].tobytes()
 
 
 class TestDecide:
@@ -109,8 +112,9 @@ class TestDecide:
         assert len(out.guesses) == 1
 
     def test_zero_stem_always_skips(self):
-        out = decide(EXAMPLE_COSINES, -0.5, stem_is_zero=True)
-        assert out.guesses == () and out.skipped_zero_stem
+        for t in (-0.5, 0.0, 0.5, math.inf, -math.inf, math.nan):
+            out = decide(EXAMPLE_COSINES, t, stem_is_zero=True)
+            assert out == GuessOutcome((), 0.0, skipped_zero_stem=True)
 
     def test_tie_broken_by_seed(self):
         picks = {decide([0.5, 0.5], 0.0, rng=random.Random(s)).guesses[0]

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from relsim.errors import DataFormatError
 from relsim.nounmod import (ALL_ABBREVIATIONS, GROUPS, RELATION_CLASSES,
-                            ClassMetrics, _tally, group_of, load_labeled_pairs, loocv,
+                            ClassMetrics, LabeledNounModifier, _tally, group_of, load_labeled_pairs, loocv,
                             macroaverage)
 from relsim.vectors import RelationVector, WordPair
 
@@ -303,6 +303,16 @@ class TestDataFile:
         assert len(items) == 2
         assert items[0].pair() == WordPair("laser", "printer")
         assert items[1].label == "cs"
+
+    def test_pair_is_built_once_and_kept_out_of_the_fields(self):
+        item = LabeledNounModifier("laser", "printer", "inst")
+        assert item.pair() is item.pair()
+        assert item.pair() == WordPair("laser", "printer")
+        twin = LabeledNounModifier("laser", "printer", "inst")
+        assert item == twin and hash(item) == hash(twin)
+        assert repr(item) == "LabeledNounModifier(modifier='laser', head='printer', label='inst')"
+        with pytest.raises(ValueError):
+            LabeledNounModifier("a:b", "printer", "inst")
 
     def test_unknown_class_reports_line(self, tmp_path):
         p = tmp_path / "nm.tsv"

@@ -396,8 +396,8 @@ class TestScoreTables:
 @st.composite
 def edge_thresholds(draw, margins):
     """Thresholds in any order, with repeats: at and next to each +-margin,
-    where guess_count steps, and on the paper's grids."""
-    edges = [0.0, *grid_thresholds(*SAT_GRID)]
+    where guess_count steps, on the paper's grids, and NaN and +-inf."""
+    edges = [0.0, np.nan, np.inf, -np.inf, *grid_thresholds(*SAT_GRID)]
     for m in np.asarray(margins).tolist():
         for t in (m, -m):
             edges += [t, float(np.nextafter(t, np.inf)), float(np.nextafter(t, -np.inf))]

@@ -412,7 +412,7 @@ class TestLoadCache:
     @example(n=65, bad="repeated key", at=64, source=0, blank=False, seed=0)
     @example(n=64, bad="repeated key", at=63, source=0, blank=False, seed=0)
     @example(n=129, bad="05", at=128, source=0, blank=True, seed=0)
-    @settings(deadline=None, max_examples=100)
+    @settings(deadline=None)
     def test_blocks_read_what_rows_read(self, n, bad, at, source, blank, seed):
         """n rows, one of which (row `at` mod n) may be bad; a repeated key
         copies row `source` mod `at`."""
@@ -526,7 +526,7 @@ class TestCacheLines:
              mode=CountMode.OCCURRENCES, seed=0)
     @example(n=130, changes=[64, 200], blanks=0, read_first=True,
              mode=CountMode.DOCUMENT_HITS, seed=0)
-    @settings(deadline=None, max_examples=60)
+    @settings(deadline=None)
     def test_loaded_cache_saves_what_put_saves(self, n, changes, blanks, read_first, mode, seed):
         """Any file load_cache accepts, in either count mode, then a few rows
         put, saves the bytes of a fresh cache given the same rows through
