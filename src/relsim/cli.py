@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 input error, 2 internal error.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import sys
 from pathlib import Path
@@ -157,13 +158,18 @@ def _finite(ctx, param, value):
 
 
 def _emit_sweep(rows, csv_path):
-    csv_text = sweep.rows_to_csv(rows)
+    """Write the rows' CSV text to csv_path, or to stdout without one,
+    sweep.CHUNK lines at a time, so that the whole text is never held."""
+    lines = sweep.csv_lines(rows)
+    chunks = iter(lambda: "".join(itertools.islice(lines, sweep.CHUNK)), "")
     if csv_path:
         with atomic_write(csv_path) as f:
-            f.write(csv_text.encode("utf-8"))
+            for chunk in chunks:
+                f.write(chunk.encode("utf-8"))
         click.echo(f"wrote {len(rows)} rows to {csv_path}")
     else:
-        click.echo(csv_text, nl=False)
+        for chunk in chunks:
+            click.echo(chunk, nl=False)
 
 
 def _options(*options):

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -124,9 +124,13 @@ def nounmod_sweep(vectors: Sequence[RelationVector], labels: Sequence[str],
                        np.bincount(true, minlength=len(classes)), thresholds)
 
 
-def rows_to_csv(rows: Sequence[SweepRow]) -> str:
-    lines = [CSV_HEADER]
+def csv_lines(rows: Iterable[SweepRow]) -> Iterator[str]:
+    """The CSV text of the rows, one line at a time: the header, then a line per row."""
+    yield CSV_HEADER + "\n"
     for row in rows:
-        lines.append(f"{row.threshold},{row.precision!r},{row.recall!r},"
-                     f"{row.f!r},{row.guesses},{row.skipped},{row.doubles}")
-    return "\n".join(lines) + "\n"
+        yield (f"{row.threshold},{row.precision!r},{row.recall!r},"
+               f"{row.f!r},{row.guesses},{row.skipped},{row.doubles}\n")
+
+
+def rows_to_csv(rows: Iterable[SweepRow]) -> str:
+    return "".join(csv_lines(rows))

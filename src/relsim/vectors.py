@@ -10,10 +10,13 @@ The 128 phrases of a pair differ only in the term between the members, so
 a local index counts them per pair rather than per phrase
 (LocalIndexProvider.pair_counts): each member's match starts are found
 once, and the two members are joined once per word order and term length.
-One gather of the tokens between the members then checks every term of
-that length against a table of the vocabulary words each term unit
-matches. Any other provider is called once per phrase string, and each
-count it returns must keep the count rule (hit_counts).
+Every term of that length is then checked at once with packed bit rows:
+per unit offset k, each vocabulary word has a uint8 row holding one bit
+per term, set where the term's k-th unit matches the word. A candidate
+ANDs the rows of its tokens between the members, so its set bits are the
+terms it hits; in document mode the rows of each document are ORed into
+one. Any other provider is called once per phrase string, and each count
+it returns must keep the count rule (hit_counts).
 """
 
 from __future__ import annotations
@@ -28,8 +31,8 @@ import numpy as np
 
 from .errors import PhraseSyntaxError, ProviderError
 from .index import (MIN_WILDCARD_PREFIX, CountMode, PatternKind, PositionalIndex,
-                    TokenPattern, count_hits, in_sorted, match_starts, parse_phrase,
-                    parse_units, tokenize, whole_matches)
+                    count_hits, in_sorted, match_starts, parse_phrase, parse_units, tokenize,
+                    whole_matches)
 from .similarity import cosines
 
 HitCountProvider = Callable[[str], int]
@@ -204,8 +207,9 @@ def cosine(v1, v2) -> float:
 class _TermTable(NamedTuple):
     terms: tuple[str, ...]
     tokens: np.ndarray  # int32, the term id at each corpus position
-    member: np.ndarray  # bool, vocabulary x (distinct term unit + 1)
-    # term length g -> (the term numbers, each term's g unit columns)
+    # term length g -> (the numbers of the n terms of that length, their
+    # packed bit rows: uint8, g x vocabulary x ceil(n / 8), where bit i of
+    # row [k, w] is set when unit k of the i-th term matches word w)
     gaps: dict[int, tuple[np.ndarray, np.ndarray]]
 
 
@@ -215,9 +219,9 @@ class LocalIndexProvider:
     Safe for concurrent queries. Called with a phrase, it counts that
     phrase with count_hits. pair_counts, which build_vector uses, counts
     all the phrases of a pair with one member join per word order and term
-    length, and then checks every term of that length with one gather of
-    the candidates' tokens, so a member's wildcard is expanded once per
-    pair, not in each of its 128 phrases.
+    length, and then checks every term of that length at once with packed
+    bit rows, so a member's wildcard is expanded once per pair, not in each
+    of its 128 phrases.
     """
 
     def __init__(self, index: PositionalIndex,
@@ -231,34 +235,34 @@ class LocalIndexProvider:
 
     def _term_table(self, terms: Sequence[str], px: str, py: str) -> _TermTable:
         """The tables pair_counts checks terms with, built on its first
-        call and again when the term list changes. Column c of the
-        membership table marks the vocabulary terms that distinct unit c
-        matches; the last column, for a standalone '*', is all true. A
-        term that does not parse raises ProviderError naming the phrase
-        "px term py", the first phrase the phrase path would fail on."""
+        call and again when the term list changes. The terms of each length
+        g get g tables of packed bit rows, one per unit offset: bit i of
+        word w's row at offset k is set when the k-th unit of the i-th term
+        of that length matches w, and a standalone '*' sets it for every
+        word. A term that does not parse raises ProviderError naming the
+        phrase "px term py", the first phrase the phrase path would fail on."""
         terms = tuple(terms)
         table = self._table
         if table is None or table.terms != terms:
-            columns: dict[TokenPattern, int] = {}
-            gaps: dict[int, list] = {}
+            groups: dict[int, list] = {}
             for j, term in enumerate(terms):
                 try:
                     units = parse_units(term)
                 except PhraseSyntaxError as e:
                     raise ProviderError(_query(px, term, py), e) from e
-                # A standalone '*' takes the last column.
-                gaps.setdefault(len(units), []).append((j, [
-                    -1 if p.kind is PatternKind.ANY_WORD else columns.setdefault(p, len(columns))
-                    for p in units]))
-            member = np.zeros((self.index.vocabulary_size, len(columns) + 1), dtype=bool)
-            member[:, -1] = True
-            for p, c in columns.items():
-                member[self.index.unit_term_ids(p), c] = True
-            table = self._table = _TermTable(
-                terms, self.index.token_ids(), member,
-                {g: (np.array([j for j, _ in group]),
-                     np.array([cols for _, cols in group], dtype=np.intp).reshape(len(group), g))
-                 for g, group in gaps.items()})
+                groups.setdefault(len(units), []).append((j, units))
+            term_ids = functools.cache(self.index.unit_term_ids)
+            gaps = {}
+            for g, group in groups.items():
+                bits = np.zeros((g, self.index.vocabulary_size, -(-len(group) // 8)),
+                                dtype=np.uint8)
+                for i, (_, units) in enumerate(group):
+                    for k, p in enumerate(units):
+                        words = slice(None) if p.kind is PatternKind.ANY_WORD else term_ids(p)
+                        # Bit i in the order np.unpackbits reads: the highest bit first.
+                        bits[k, words, i // 8] |= 0x80 >> i % 8
+                gaps[g] = (np.array([j for j, _ in group]), bits)
+            table = self._table = _TermTable(terms, self.index.token_ids(), gaps)
         return table
 
     def pair_counts(self, pair: WordPair, terms: Sequence[str]) -> list[int]:
@@ -267,11 +271,12 @@ class LocalIndexProvider:
         Each member's match starts are found once. For each word order and
         each term length g, one join keeps the starts s of the first member
         (length la) whose second member starts at s + la + g, with the
-        whole span inside one document. One gather of the g tokens from
-        s + la on, looked up in the membership table, gives a candidates x
-        terms hit mask. A term counts its hit candidates, or in document
-        mode the documents holding one; an empty candidate set counts 0
-        for every term of that length.
+        whole span inside one document. Each candidate starts from a row of
+        all ones, one bit per term of length g, and ANDs in the bit row of
+        its token at s + la + k for each offset k, so a set bit is a hit.
+        In document mode the rows of each document are ORed together. A
+        term counts the set bits in its column, once the rows are unpacked;
+        an empty candidate set counts 0 for every term of that length.
         """
         px, py = _member_pattern(pair.x), _member_pattern(pair.y)
         table = self._term_table(terms, px, py)
@@ -285,7 +290,7 @@ class LocalIndexProvider:
         for order, ((la, a), (lb, b)) in enumerate((members, members[::-1])):
             if not len(a) or not len(b):
                 break  # a member that never matches makes every count 0
-            for g, (numbers, columns) in table.gaps.items():
+            for g, (numbers, bits) in table.gaps.items():
                 n = la + g + lb
                 # In range, so that no start + offset below overflows int32.
                 starts = a if a[-1] <= last - n else a[a <= last - n]
@@ -293,10 +298,12 @@ class LocalIndexProvider:
                 starts, doc = whole_matches(self.index, starts, n)
                 if not len(starts):
                     continue
-                window = table.tokens[(starts + la)[:, None] + np.arange(g)]
-                hit = table.member[window[:, None, :], columns].all(axis=2)
+                hit = np.full((len(starts), bits.shape[2]), 0xFF, dtype=np.uint8)
+                for k, rows in enumerate(bits):  # none for the empty term: every candidate hits
+                    hit &= rows[table.tokens[starts + (la + k)]]
                 if self.mode is CountMode.DOCUMENT_HITS:
                     # The rows ascend, so a document's candidates run from its first one.
-                    hit = np.logical_or.reduceat(hit, np.unique(doc, return_index=True)[1])
-                counts[2 * numbers + order] = hit.sum(axis=0)
+                    hit = np.bitwise_or.reduceat(hit, np.flatnonzero(np.diff(doc, prepend=-1)))
+                counts[2 * numbers + order] = np.unpackbits(hit, axis=1,
+                                                            count=len(numbers)).sum(axis=0)
         return counts.tolist()

@@ -16,8 +16,9 @@ from relsim.analogy import parse_pair
 from relsim.cache import VectorCache, load_cache
 from relsim.cli import _plain_pair
 from relsim.errors import DataFormatError, ProviderError
+from relsim.fileio import read_rows
 from relsim.index import (CountMode, Document, PatternKind, build_index, count_hits,
-                          parse_phrase, parse_units, tokenize)
+                          load_corpus, parse_phrase, parse_units, tokenize)
 from relsim.nounmod import load_labeled_pairs
 from relsim.terms import (default_joining_terms, load_joining_terms,
                           terms_checksum)
@@ -28,6 +29,7 @@ from oracles import LINE_BREAKS, oracle_cosine, oracle_load_cache, oracle_pair_m
 from test_acceptance import PLANT_PAIRS, planted_corpus
 
 TERMS = default_joining_terms()
+GOLDEN = Path(__file__).parent / "golden"
 LARGEST = int(sys.float_info.max)  # the largest count whose vector element is finite
 
 words = st.text(alphabet="abcdefghijklmnopqrstuvwxyz", min_size=1, max_size=20)
@@ -184,7 +186,7 @@ class TestWordPair:
     def test_vector_equals_from_raw_on_every_row(self):
         """vector() skips the count rule that load_cache (or put) already
         applied, and gives what from_raw gives on the row."""
-        cache = load_cache(Path(__file__).parent / "golden" / "expected" / "vector_cache.txt")
+        cache = load_cache(GOLDEN / "expected" / "vector_cache.txt")
         assert len(cache.entries) > 20
         for key, row in cache.entries.items():
             pair = WordPair.from_key(key)
@@ -712,11 +714,22 @@ def pair_corpora(draw):
     return texts, ids
 
 
+# Up to 20 terms, so that a term length's packed bit rows cross a byte.
 term_tables = st.lists(st.lists(st.sampled_from(TERM_UNITS), max_size=3).map(" ".join),
-                       min_size=1, max_size=8)
+                       min_size=1, max_size=20)
+
+# Every one-unit term of TERM_UNITS, and the two-unit terms below, between
+# the two members, in both orders and twice in one document.
+BYTE_EDGE_CORPUS = ([["mason", "of", "stone", "mason", "the", "stone", "mason", "stones", "stone"],
+                     ["stone", "rays", "mason", "mason", "of", "the", "stone", "mason", "x", "of",
+                      "stone", "mason", "not", "very", "stone"],
+                     ["mason", "very", "is", "stone", "masonry", "up", "mason", "stone", "is", "up",
+                      "mason"]], [3, 1, 2])
+BOTH_ORDERS = [("mason", "stone"), ("stone", "mason")]
 
 
-@settings(max_examples=300, deadline=None)
+# A profile may raise the example count, as the deep one does, but not lower it.
+@settings(max_examples=max(300, settings.default.max_examples), deadline=None)
 @given(pair_corpora(), st.lists(st.tuples(st.sampled_from(PAIR_MEMBERS),
                                           st.sampled_from(PAIR_MEMBERS)), min_size=1,
                                 max_size=3), term_tables)
@@ -739,6 +752,15 @@ term_tables = st.lists(st.lists(st.sampled_from(TERM_UNITS), max_size=3).map(" "
 @example(([["x", "mason", "of", "stone"], ["stone", "of", "mason"], ["of", "stone"],
            ["mason", "stone"]], [7, 8, 9, 10]),
          [("mason", "stone"), ("stone", "mason")], ["of", "", "of *"])
+# One-unit terms that fill one byte, one more than a byte, two bytes, and
+# one more than two bytes of packed bit rows.
+@example(BYTE_EDGE_CORPUS, BOTH_ORDERS, TERM_UNITS[:8])
+@example(BYTE_EDGE_CORPUS, BOTH_ORDERS, TERM_UNITS[:9])
+@example(BYTE_EDGE_CORPUS, BOTH_ORDERS, (TERM_UNITS * 2)[:16])
+@example(BYTE_EDGE_CORPUS, BOTH_ORDERS, (TERM_UNITS * 2)[:17])
+# Nine two-unit terms, some holding a standalone '*'.
+@example(BYTE_EDGE_CORPUS, BOTH_ORDERS,
+         ["of *", "* the", "not very", "very is", "* *", "is up", "of the", "x of", "* ston*"])
 def test_pair_counts_equal_phrase_counts(corpus, pairs, terms):
     texts, ids = corpus
     idx = build_index([Document(i, tuple(t)) for i, t in zip(ids, texts)])
@@ -766,6 +788,20 @@ def test_pair_counts_of_a_large_join_equal_phrase_counts():
         assert counts == [count_hits(idx, parse_phrase(q), mode).count for q in queries]
         if mode is CountMode.OCCURRENCES:
             assert min(counts[:2]) >= 10_000  # the empty term holds every candidate
+
+
+def test_pair_counts_equal_phrase_counts_on_golden_pairs():
+    """Every golden plain pair and default term, in both count modes; no
+    golden output covers occurrence mode."""
+    idx = build_index(load_corpus(GOLDEN / "corpus.txt"))
+    pairs = read_rows(GOLDEN / "pairs.tsv", _plain_pair)
+    for mode in CountMode:
+        provider = LocalIndexProvider(idx, mode)
+        for pair in pairs:
+            expected = [count_hits(idx, parse_phrase(q), mode).count
+                        for q in generate_queries(pair, TERMS)]
+            assert provider.pair_counts(pair, TERMS) == expected, (pair, mode)
+            assert any(expected), pair
 
 
 def test_provider_and_callable_give_equal_vectors_on_planted_corpus():
