@@ -303,7 +303,9 @@ class LocalIndexProvider:
                     hit &= rows[table.tokens[starts + (la + k)]]
                 if self.mode is CountMode.DOCUMENT_HITS:
                     # The rows ascend, so a document's candidates run from its first one.
-                    hit = np.bitwise_or.reduceat(hit, np.flatnonzero(np.diff(doc, prepend=-1)))
+                    first = np.ones(len(doc), dtype=bool)
+                    np.not_equal(doc[1:], doc[:-1], out=first[1:])
+                    hit = np.bitwise_or.reduceat(hit, first.nonzero()[0])
                 counts[2 * numbers + order] = np.unpackbits(hit, axis=1,
                                                             count=len(numbers)).sum(axis=0)
         return counts.tolist()
