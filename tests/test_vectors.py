@@ -718,13 +718,15 @@ def pair_corpora(draw):
 term_tables = st.lists(st.lists(st.sampled_from(TERM_UNITS), max_size=3).map(" ".join),
                        min_size=1, max_size=20)
 
-# Every one-unit term of TERM_UNITS, and the two-unit terms below, between
-# the two members, in both orders and twice in one document.
-BYTE_EDGE_CORPUS = ([["mason", "of", "stone", "mason", "the", "stone", "mason", "stones", "stone"],
-                     ["stone", "rays", "mason", "mason", "of", "the", "stone", "mason", "x", "of",
-                      "stone", "mason", "not", "very", "stone"],
-                     ["mason", "very", "is", "stone", "masonry", "up", "mason", "stone", "is", "up",
-                      "mason"]], [3, 1, 2])
+# Each one-unit term of TERM_UNITS, and most two-unit terms of the examples
+# below, stands between "mason" and "stone", in one word order or both, and
+# several times in one document.
+BYTE_EDGE_CORPUS = ([t.split() for t in (
+    "mason of stone mason the stone mason not stone",
+    "stone very mason mason is stone up mason stone",
+    "mason stones stone rays mason masonry stone",
+    "mason of the stone mason x of stone mason very is stone mason up stones stone")],
+    [3, 1, 2, 5])
 BOTH_ORDERS = [("mason", "stone"), ("stone", "mason")]
 
 
