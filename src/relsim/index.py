@@ -221,22 +221,22 @@ class PositionalIndex:
         """Row in the document arrays of the document holding each position."""
         return np.searchsorted(self.doc_starts, positions, side="right") - 1
 
-    def token_ids(self) -> np.ndarray:
-        """The term id of the token at each global position (int32), the
-        inverse of the postings; built anew on each call.
+    def token_classes(self, term_class: np.ndarray) -> np.ndarray:
+        """The class of the token at each global position: term_class[t]
+        for a position in term t's postings, in term_class's dtype. Each
+        class must be nonzero. Built anew on each call.
 
         Every position must lie in exactly one term's postings. load_index
         does not check that, as it would cost about half a load; here a
         position that no term covers (so another is listed twice) raises
         DataFormatError."""
-        tokens = np.full(self.token_count, -1, dtype=np.int32)
-        tokens[self.positions] = np.repeat(np.arange(self.vocabulary_size, dtype=np.int32),
-                                           np.diff(self.offsets))
-        if (tokens < 0).any():
+        classes = np.zeros(self.token_count, dtype=term_class.dtype)
+        classes[self.positions] = np.repeat(term_class, np.diff(self.offsets))
+        if not classes.all():
             raise DataFormatError("index positions do not cover the corpus: a position lies "
                                   "in no term's postings; rebuild the index with "
                                   "`relsim index build`")
-        return tokens
+        return classes
 
     def unit_term_ids(self, pattern: TokenPattern) -> list[int]:
         """Ascending ids of the terms a literal or substring pattern matches."""
@@ -446,7 +446,7 @@ def save_index(index: PositionalIndex, path: str | Path) -> None:
 def load_index(path: str | Path) -> PositionalIndex:
     """Read an index written by `save_index`, checking that its arrays are
     consistent; any fault raises DataFormatError. That the positions cover
-    the corpus once each is left to PositionalIndex.token_ids."""
+    the corpus once each is left to PositionalIndex.token_classes."""
     try:
         with Path(path).open("rb") as f:
             magic = f.read(len(INDEX_MAGIC))

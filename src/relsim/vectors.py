@@ -10,13 +10,15 @@ The 128 phrases of a pair differ only in the term between the members, so
 a local index counts them per pair rather than per phrase
 (LocalIndexProvider.pair_counts): each member's match starts are found
 once, and the two members are joined once per word order and term length.
-Every term of that length is then checked at once with packed bit rows:
-per unit offset k, each vocabulary word has a uint8 row holding one bit
-per term, set where the term's k-th unit matches the word. A candidate
-ANDs the rows of its tokens between the members, so its set bits are the
-terms it hits; in document mode the rows of each document are ORed into
-one. Any other provider is called once per phrase string, and each count
-it returns must keep the count rule (hit_counts).
+Every term of that length is then checked at once with packed bit rows.
+Only the words the terms' literal and substring units name can decide a
+hit, so each named word has a class of its own and every other word
+shares one. Per unit offset k, each class has a uint8 row holding one bit
+per term, set where the term's k-th unit matches the class's words. A
+candidate ANDs the rows of the classes of its tokens between the members,
+so its set bits are the terms it hits; in document mode the rows of each
+document are ORed into one. Any other provider is called once per phrase
+string, and each count it returns must keep the count rule (hit_counts).
 """
 
 from __future__ import annotations
@@ -206,10 +208,14 @@ def cosine(v1, v2) -> float:
 
 class _TermTable(NamedTuple):
     terms: tuple[str, ...]
-    tokens: np.ndarray  # int32, the term id at each corpus position
+    # The class of the word at each corpus position: 1 + i for the i-th of
+    # the m words the terms' units name, m + 1 for every other word; uint8
+    # while m <= 254 (np.min_scalar_type), wider beyond.
+    tokens: np.ndarray
     # term length g -> (the numbers of the n terms of that length, their
-    # packed bit rows: uint8, g x vocabulary x ceil(n / 8), where bit i of
-    # row [k, w] is set when unit k of the i-th term matches word w)
+    # packed bit rows: uint8, g x (m + 2) x ceil(n / 8), where bit i of row
+    # [k, c] is set when unit k of the i-th term matches the words of class
+    # c; row 0 is the class no position has)
     gaps: dict[int, tuple[np.ndarray, np.ndarray]]
 
 
@@ -220,8 +226,8 @@ class LocalIndexProvider:
     phrase with count_hits. pair_counts, which build_vector uses, counts
     all the phrases of a pair with one member join per word order and term
     length, and then checks every term of that length at once with packed
-    bit rows, so a member's wildcard is expanded once per pair, not in each
-    of its 128 phrases.
+    bit rows over word classes, so a member's wildcard is expanded once per
+    pair, not in each of its 128 phrases.
     """
 
     def __init__(self, index: PositionalIndex,
@@ -235,12 +241,17 @@ class LocalIndexProvider:
 
     def _term_table(self, terms: Sequence[str], px: str, py: str) -> _TermTable:
         """The tables pair_counts checks terms with, built on its first
-        call and again when the term list changes. The terms of each length
-        g get g tables of packed bit rows, one per unit offset: bit i of
-        word w's row at offset k is set when the k-th unit of the i-th term
-        of that length matches w, and a standalone '*' sets it for every
-        word. A term that does not parse raises ProviderError naming the
-        phrase "px term py", the first phrase the phrase path would fail on."""
+        call and again when the term list changes. The words that the
+        literal and substring units of the terms name get classes 1..m in
+        term id order, every other word class m + 1, and the corpus
+        positions the classes of their words (PositionalIndex.token_classes,
+        which also checks that the positions cover the corpus once). The
+        terms of each length g get g tables of packed bit rows, one per unit
+        offset: bit i of class c's row at offset k is set when the k-th unit
+        of the i-th term of that length matches the words of class c, and a
+        standalone '*' sets it for every class. A term that does not parse
+        raises ProviderError naming the phrase "px term py", the first
+        phrase the phrase path would fail on."""
         terms = tuple(terms)
         table = self._table
         if table is None or table.terms != terms:
@@ -252,17 +263,23 @@ class LocalIndexProvider:
                     raise ProviderError(_query(px, term, py), e) from e
                 groups.setdefault(len(units), []).append((j, units))
             term_ids = functools.cache(self.index.unit_term_ids)
+            named = sorted({t for group in groups.values() for _, units in group for p in units
+                            if p.kind is not PatternKind.ANY_WORD for t in term_ids(p)})
+            other = len(named) + 1
+            term_class = np.full(self.index.vocabulary_size, other,
+                                 dtype=np.min_scalar_type(other))
+            term_class[named] = np.arange(1, other)
             gaps = {}
             for g, group in groups.items():
-                bits = np.zeros((g, self.index.vocabulary_size, -(-len(group) // 8)),
-                                dtype=np.uint8)
+                bits = np.zeros((g, other + 1, -(-len(group) // 8)), dtype=np.uint8)
                 for i, (_, units) in enumerate(group):
                     for k, p in enumerate(units):
-                        words = slice(None) if p.kind is PatternKind.ANY_WORD else term_ids(p)
+                        classes = (slice(None) if p.kind is PatternKind.ANY_WORD
+                                   else term_class[term_ids(p)])
                         # Bit i in the order np.unpackbits reads: the highest bit first.
-                        bits[k, words, i // 8] |= 0x80 >> i % 8
+                        bits[k, classes, i // 8] |= 0x80 >> i % 8
                 gaps[g] = (np.array([j for j, _ in group]), bits)
-            table = self._table = _TermTable(terms, self.index.token_ids(), gaps)
+            table = self._table = _TermTable(terms, self.index.token_classes(term_class), gaps)
         return table
 
     def pair_counts(self, pair: WordPair, terms: Sequence[str]) -> list[int]:
@@ -273,7 +290,8 @@ class LocalIndexProvider:
         (length la) whose second member starts at s + la + g, with the
         whole span inside one document. Each candidate starts from a row of
         all ones, one bit per term of length g, and ANDs in the bit row of
-        its token at s + la + k for each offset k, so a set bit is a hit.
+        the class of its token at s + la + k for each offset k, so a set bit
+        is a hit.
         In document mode the rows of each document are ORed together. A
         term counts the set bits in its column, once the rows are unpacked;
         an empty candidate set counts 0 for every term of that length.

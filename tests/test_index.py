@@ -349,11 +349,14 @@ def test_save_load_round_trip(corpus):
     assert loaded.corpus_digest == idx.corpus_digest
 
 
-@settings(max_examples=100, deadline=None)
-@given(corpora())
-def test_token_ids_invert_the_postings(corpus):
-    """token_ids()[p] is the term at global position p, on a built and on a
-    loaded index: each position lies in exactly one term's postings."""
+# A profile may raise the example count, as the deep one does, but not lower it.
+@settings(max_examples=max(100, settings.default.max_examples), deadline=None)
+@given(corpora(), st.integers(0, 2**32 - 1), st.sampled_from([np.uint8, np.uint16, np.int32]))
+def test_token_classes_invert_the_postings(corpus, seed, dtype):
+    """token_classes(term_class)[p] is the class of the term at global
+    position p, on a built and on a loaded index: with classes 1..V it
+    inverts the postings, and with any nonzero class map each position gets
+    its term's class, in the map's dtype."""
     texts, ids = corpus
     idx = build_index([Document(i, tuple(t)) for i, t in zip(ids, texts)])
     with tempfile.TemporaryDirectory() as d:
@@ -361,13 +364,18 @@ def test_token_ids_invert_the_postings(corpus):
         save_index(idx, path)
         loaded = load_index(path)
     in_order = [tok for _, text in sorted(zip(ids, texts)) for tok in text]
+    rng = np.random.default_rng(seed)
     for ix in (idx, loaded):
-        tokens = ix.token_ids()
-        assert tokens.dtype == np.int32 and len(tokens) == ix.token_count
         assert np.array_equal(np.sort(ix.positions), np.arange(ix.token_count))
+        tokens = ix.token_classes(np.arange(1, ix.vocabulary_size + 1, dtype=np.int32)) - 1
+        assert tokens.dtype == np.int32 and len(tokens) == ix.token_count
         for t in range(ix.vocabulary_size):
             assert np.all(tokens[ix.term_positions(t)] == t)
         assert [ix.vocab[t] for t in tokens] == in_order
+        term_class = rng.integers(1, 4, ix.vocabulary_size, endpoint=True).astype(dtype)
+        classes = ix.token_classes(term_class)
+        assert classes.dtype == dtype
+        assert np.array_equal(classes, term_class[tokens])
 
 
 def test_save_is_deterministic_and_compact(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import re
@@ -695,6 +696,11 @@ def test_pair_reversal_swaps_adjacent_elements():
         assert fwd.raw[2 * j + 1] == rev.raw[2 * j]
 
 
+def _phrase_counts(idx, pair, terms, mode) -> list[int]:
+    """The counts of generate_queries(pair, terms), one count_hits each."""
+    return [count_hits(idx, parse_phrase(q), mode).count for q in generate_queries(pair, terms)]
+
+
 # Tokens and members for the pair_counts property: stemmed members match
 # several tokens ("mason*"), "x_ray" is two tokens, "up" and "a12" stay
 # literal, and the joining terms' words occur between them.
@@ -763,6 +769,14 @@ BOTH_ORDERS = [("mason", "stone"), ("stone", "mason")]
 # Nine two-unit terms, some holding a standalone '*'.
 @example(BYTE_EDGE_CORPUS, BOTH_ORDERS,
          ["of *", "* the", "not very", "very is", "* *", "is up", "of the", "x of", "* ston*"])
+# An index with no documents, and one whose only document is empty.
+@example(([], []), BOTH_ORDERS, TERMS)
+@example(([[]], [3]), BOTH_ORDERS, TERMS)
+# No literal or substring unit names a word of the corpus, so only the
+# empty term and the all-'*' terms hit, in both word orders.
+@example(([t.split() for t in ("mason stone x mason y stone", "stone z mason mason stone",
+                               "mason x y stone mason")], [0, 1, 2]),
+         BOTH_ORDERS, ["", "*", "* *", "quux", "zeb*ra", "* quux", "quux *"])
 def test_pair_counts_equal_phrase_counts(corpus, pairs, terms):
     texts, ids = corpus
     idx = build_index([Document(i, tuple(t)) for i, t in zip(ids, texts)])
@@ -770,8 +784,7 @@ def test_pair_counts_equal_phrase_counts(corpus, pairs, terms):
         provider = LocalIndexProvider(idx, mode)
         for x, y in pairs:
             pair = WordPair(x, y)
-            expected = [count_hits(idx, parse_phrase(q), mode).count
-                        for q in generate_queries(pair, terms)]
+            expected = _phrase_counts(idx, pair, terms, mode)
             assert provider.pair_counts(pair, terms) == expected, (pair, terms, mode)
 
 
@@ -800,10 +813,52 @@ def test_pair_counts_equal_phrase_counts_on_golden_pairs():
     for mode in CountMode:
         provider = LocalIndexProvider(idx, mode)
         for pair in pairs:
-            expected = [count_hits(idx, parse_phrase(q), mode).count
-                        for q in generate_queries(pair, TERMS)]
+            expected = _phrase_counts(idx, pair, TERMS, mode)
             assert provider.pair_counts(pair, TERMS) == expected, (pair, mode)
             assert any(expected), pair
+
+
+def test_pair_counts_with_more_named_words_than_a_byte_holds():
+    """'abc*' names 400 words, so the term table's classes are wider than
+    uint8; pair_counts still equals the per-phrase counts."""
+    rng = random.Random(2)
+    abc = [f"abc{i}" for i in range(400)]
+    pool = ["mason", "stone", "of", "the"] * 100 + abc
+    docs = [Document(i, ("mason", w, "stone") if i % 2 else ("stone", "of", w, "mason"))
+            for i, w in enumerate(abc)]
+    docs += [Document(len(abc) + i, tuple(rng.choices(pool, k=rng.randint(0, 15))))
+             for i in range(300)]
+    idx = build_index(docs)
+    terms = ["", "abc*", "of abc*", "abc7", "abc1*", "* abc3*", "of", "the *"]
+    for mode in CountMode:
+        provider = LocalIndexProvider(idx, mode)
+        for pair in (WordPair("mason", "stone"), WordPair("stone", "mason")):
+            expected = _phrase_counts(idx, pair, terms, mode)
+            assert provider.pair_counts(pair, terms) == expected, (pair, mode)
+            assert min(expected[2:6]) > 0, (pair, mode)  # every 'abc*' term hits
+        assert provider._table.tokens.dtype == np.uint16
+
+
+@pytest.mark.parametrize("shifted, doubled, named", [("quux", "zebra", False),
+                                                     ("wombat", "the", True)])
+def test_pair_counts_refuses_a_position_listed_twice(shifted, doubled, named):
+    """Moving a term's first position back one lists the position before it
+    twice and its own nowhere. Counting refuses that whether or not a
+    joining term names the word listed twice."""
+    idx = build_index([Document(0, ("zebra", "quux", "mason", "of", "stone")),
+                       Document(1, ("the", "wombat", "stone", "the", "mason"))])
+    t = idx.term_id(shifted)
+    first = idx.term_positions(t)[0]
+    assert first - 1 in idx.term_positions(idx.term_id(doubled))
+    names = {w for term in TERMS for p in parse_units(term) if p.kind is not PatternKind.ANY_WORD
+             for w in idx.matching_terms(p)}
+    assert (doubled in names) is named
+    positions = idx.positions.copy()
+    positions[idx.offsets[t]] -= 1
+    bad = dataclasses.replace(idx, positions=positions)
+    for mode in CountMode:
+        with pytest.raises(DataFormatError, match="do not cover the corpus"):
+            LocalIndexProvider(bad, mode).pair_counts(WordPair("mason", "stone"), TERMS)
 
 
 def test_provider_and_callable_give_equal_vectors_on_planted_corpus():
