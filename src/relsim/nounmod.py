@@ -17,7 +17,7 @@ import numpy as np
 from .analogy import precision_recall_f
 from .errors import DataFormatError
 from .fileio import read_rows
-from .similarity import BLOCK, cosines, guess_count, nearest_two
+from .similarity import guess_count, nearest_two_others
 from .vectors import RelationVector, WordPair
 
 # (class name, abbreviation, example phrase, group)
@@ -131,11 +131,14 @@ def loocv_scores(vectors: Sequence[RelationVector], labels: Sequence[str],
     class numbers each item's true class, the class of its nearest
     neighbour and that of its runner-up, then nearest_two's margin, or
     +inf where both neighbours share a class: that one class is guessed
-    once at every threshold (guess_count gives 1 at any t but NaN)."""
+    once at every threshold (guess_count gives 1 at any t but NaN).
+
+    similarity.nearest_two_others scores the items: a matrix product
+    screens them, and exact cosines decide. It checks tie_break and then
+    that the vectors have one length before it stacks them or multiplies.
+    """
     if len(vectors) != len(labels):
         raise ValueError("one label per vector required")
-    if len(vectors) < 2:
-        raise ValueError("need at least two items")
     if granularity == 5:
         labels = [group_of(lab) for lab in labels]
         classes = GROUPS
@@ -145,15 +148,7 @@ def loocv_scores(vectors: Sequence[RelationVector], labels: Sequence[str],
     else:
         raise ValueError("granularity must be 30 or 5")
 
-    # -inf masks each probe itself; with two items the lone neighbour is also the runner-up (1-NN).
-    rows = np.array([v.r for v in vectors])
-    blocks = []
-    for lo in range(0, len(rows), BLOCK):
-        table = cosines(rows[lo:lo + BLOCK, None], rows)
-        np.fill_diagonal(table[:, lo:], -np.inf)
-        blocks.append(nearest_two(table, seed, tie_break, start=lo))
-        del table  # so that cosines builds the next block's table without this one alive
-    best, second, margin = map(np.concatenate, zip(*blocks))
+    best, second, margin = nearest_two_others([v.r for v in vectors], seed, tie_break)
     number = {c: k for k, c in enumerate(classes)}
     true = np.array([number[lab] for lab in labels])
     first, second = true[best], true[second]

@@ -1,9 +1,14 @@
 """Independent brute-force oracles, kept deliberately separate from the
-package's own code paths."""
+package's own code paths, and reference loops that a faster path of the
+package must match bit for bit."""
 
 import math
 import re
 import sys
+
+import numpy as np
+
+from relsim.similarity import BLOCK, cosines, nearest_two
 
 
 def oracle_tokenize(text):
@@ -208,3 +213,16 @@ def oracle_load_cache(path):
                 error = f"expected 128 counts, got {len(fields)}"
         raise ValueError(f"{path}:{lineno}: {error}")
     return entries
+
+
+def reference_nearest_two_others(rows, seed=0, tie_break="random"):
+    """nearest_two over the whole leave-one-out table of the rows: cosines
+    of BLOCK rows against all the rows at a time, each row's own cosine set
+    to -inf. similarity.nearest_two_others must give these arrays exactly."""
+    rows = np.asarray(rows, dtype=float)
+    blocks = []
+    for lo in range(0, len(rows), BLOCK):
+        table = cosines(rows[lo:lo + BLOCK, None], rows)
+        np.fill_diagonal(table[:, lo:], -np.inf)
+        blocks.append(nearest_two(table, seed, tie_break, start=lo))
+    return tuple(map(np.concatenate, zip(*blocks)))

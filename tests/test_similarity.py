@@ -9,12 +9,13 @@ from hypothesis import strategies as st
 from relsim.analogy import AnalogyQuestion, evaluate, outcomes_at, score_questions, solve_all
 from relsim.nounmod import ALL_ABBREVIATIONS, loocv, loocv_scores, macroaverage
 from relsim.similarity import (BLOCK, TIE_BREAKS, cosines, guess_count, nearest_two,
-                               question_rng, top_two)
+                               nearest_two_others, question_rng, top_two)
 from relsim.sweep import (NOUNMOD_GRID, SAT_GRID, SweepRow, grid_thresholds,
                           nounmod_sweep, rows_to_csv, sat_sweep)
 from relsim.vectors import RelationVector, WordPair, cosine
 
-from oracles import oracle_cosine, oracle_loocv_confusion, oracle_margin_rule, oracle_ranked
+from oracles import (oracle_cosine, oracle_loocv_confusion, oracle_margin_rule, oracle_ranked,
+                     reference_nearest_two_others)
 
 
 def vec(raw):
@@ -27,10 +28,10 @@ def loocv_confusions(vectors, labels, grid, seed=0, tie_break="first"):
 
 
 @st.composite
-def tie_heavy_rows(draw, min_rows=2):
+def tie_heavy_rows(draw, min_rows=2, dims=st.integers(1, 6)):
     """Small integer vectors drawn from a few base rows, so that rows
     repeat; at least one row is all zeros and one base row is repeated."""
-    dim = draw(st.integers(1, 6))
+    dim = draw(dims)
     row = st.lists(st.integers(0, 9), min_size=dim, max_size=dim)
     base = draw(st.lists(row, min_size=1, max_size=6)) + [[0] * dim]
     picks = draw(st.lists(st.integers(0, len(base) - 1),
@@ -394,6 +395,90 @@ class TestScoreTables:
 
 
 @st.composite
+def loo_rows(draw):
+    """2 to 2 * BLOCK + 8 rows in 1 to 8 or in 128 dimensions: rows of
+    tie_heavy_rows, some of them times 2 or 3, so parallel to the rows they
+    repeat. Some draws span two or three blocks."""
+    base = draw(tie_heavy_rows(dims=st.one_of(st.integers(1, 8), st.just(128))))
+    n = draw(st.one_of(st.integers(2, 12), st.integers(BLOCK - 2, 2 * BLOCK + 8)))
+    picks = st.tuples(st.sampled_from(base), st.sampled_from([1, 1, 2, 3]))
+    return [[k * x for x in row] for row, k in draw(st.lists(picks, min_size=n, max_size=n))]
+
+
+def assert_loo_scores_equal_reference(raw, seed):
+    """nearest_two_others over the raw rows and over their log rows, and
+    loocv_scores over their vectors, give the full table's arrays exactly,
+    under both tie rules."""
+    vectors = [vec(r) for r in raw]
+    labels = [("ag", "cs", "meas")[i % 3] for i in range(len(raw))]
+    for tie_break in TIE_BREAKS:
+        for rows in (np.array(raw, dtype=float), np.array([v.r for v in vectors])):
+            expected = reference_nearest_two_others(rows, seed, tie_break)
+            got = nearest_two_others(rows, seed, tie_break)
+            assert all(map(np.array_equal, got, expected)), (tie_break, rows.tolist())
+        best, second, margin = expected  # of the log rows, as loocv_scores scores them
+        _, true, *got = loocv_scores(vectors, labels, 30, seed, tie_break)
+        first, second = true[best], true[second]
+        assert all(map(np.array_equal, got,
+                       (first, second, np.where(first == second, np.inf, margin))))
+
+
+# A row repeated on both sides of a block edge, among rows at distinct angles.
+EDGE_DUPLICATE = [[i, 1] for i in range(BLOCK)] + [[BLOCK - 1, 1], [BLOCK + 1, 1]]
+
+
+class TestLeaveOneOutScreen:
+    """nearest_two_others screens the leave-one-out table with a matrix
+    product, and must still give the arrays of the full table of exact
+    cosines (oracles.reference_nearest_two_others) bit for bit."""
+
+    @settings(deadline=None)
+    @given(loo_rows(), st.integers(0, 5))
+    # The rows of the three strict-xfail counterexamples below.
+    @example(raw=[[1, 1], [1, 2], [2, 2], [1, 1], [0, 0]], seed=0)
+    @example(raw=[[2, 2], [1, 3], [0, 0], [0, 0], [1, 1], [2, 2], [0, 0]], seed=0)
+    @example(raw=[[8, 8], [4, 4], [5, 8], [8, 8], [0, 0]], seed=0)
+    @example(raw=[[1, 2], [2, 4]], seed=1)
+    @example(raw=[[0, 0], [1, 2], [2, 4]], seed=2)
+    @example(raw=EDGE_DUPLICATE, seed=3)
+    # [9, 9] has exact cosine 0.8 to both [7, 1] and [1, 7], its second-best
+    # and tied, where the product puts [7, 1] one ulp lower: a screen
+    # without its margin delta drops it.
+    @example(raw=[[7, 1], [2, 7], [9, 9], [1, 7]], seed=0)
+    def test_equals_the_full_table(self, raw, seed):
+        assert_loo_scores_equal_reference(raw, seed)
+
+    @pytest.mark.parametrize("shape", ["identical", "half zero", "no shared pattern"])
+    def test_worst_case_ties_equal_the_full_table(self, shape):
+        """Rows whose every candidate ties: the screen keeps them all."""
+        n = 2 * BLOCK + 20
+        row = np.random.default_rng(8).integers(1, 50, 128)
+        if shape == "identical":
+            raw = np.tile(row, (n, 1))
+        elif shape == "half zero":
+            raw = np.tile(row, (n, 1))
+            raw[::2] = 0
+        else:  # one pattern per row, and all-zero rows past the 128th: every cosine is 0
+            raw = 5 * np.eye(n, 128, dtype=int)
+        for seed in (0, 1):
+            assert_loo_scores_equal_reference(raw.tolist(), seed)
+
+    def test_memory_on_identical_rows(self):
+        """600 identical 128-dim rows keep every column of every block: the
+        block tables stay BLOCK x n, where a gather of each candidate pair's
+        two rows would take a pair x 128 array per block."""
+        vectors = [vec(list(np.random.default_rng(9).integers(1, 50, 128)))] * 600
+        labels = [ALL_ABBREVIATIONS[i % 30] for i in range(600)]
+        tracemalloc.start()
+        try:
+            loocv_scores(vectors, labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+
+@st.composite
 def edge_thresholds(draw, margins):
     """Thresholds in any order, with repeats: at and next to each +-margin,
     where guess_count steps, on the paper's grids, and NaN and +-inf."""
@@ -510,3 +595,16 @@ class TestTieBreakValidation:
     def test_checked_before_any_probe(self):
         with pytest.raises(ValueError, match="tie_break"):
             nearest_two([], tie_break="none")
+
+
+def test_unequal_vector_lengths_are_named():
+    """loocv and nounmod_sweep check tie_break, then the vectors' lengths,
+    before they stack the vectors."""
+    vectors = [vec([1, 0]), vec([1, 1]), vec([0, 1, 2])]
+    labels = ["ag", "cs", "ag"]
+    with pytest.raises(ValueError, match="row 2 has 3 values, row 0 has 2"):
+        loocv(vectors, labels)
+    with pytest.raises(ValueError, match="row 2 has 3 values, row 0 has 2"):
+        nounmod_sweep(vectors, labels, [0.0], tie_break="first")
+    with pytest.raises(ValueError, match="tie_break"):
+        loocv(vectors, labels, tie_break="lowest")
