@@ -221,18 +221,18 @@ class PositionalIndex:
         """Row in the document arrays of the document holding each position."""
         return np.searchsorted(self.doc_starts, positions, side="right") - 1
 
-    def token_classes(self, term_class: np.ndarray) -> np.ndarray:
+    def token_classes(self, term_class: np.ndarray, pad: int = 0) -> np.ndarray:
         """The class of the token at each global position: term_class[t]
-        for a position in term t's postings, in term_class's dtype. Each
-        class must be nonzero. Built anew on each call.
+        for a position in term t's postings, in term_class's dtype, then
+        pad zeros. Each class must be nonzero. Built anew on each call.
 
         Every position must lie in exactly one term's postings. load_index
         does not check that, as it would cost about half a load; here a
         position that no term covers (so another is listed twice) raises
         DataFormatError."""
-        classes = np.zeros(self.token_count, dtype=term_class.dtype)
+        classes = np.zeros(self.token_count + pad, dtype=term_class.dtype)
         classes[self.positions] = np.repeat(term_class, np.diff(self.offsets))
-        if not classes.all():
+        if not classes[:self.token_count].all():
             raise DataFormatError("index positions do not cover the corpus: a position lies "
                                   "in no term's postings; rebuild the index with "
                                   "`relsim index build`")
@@ -361,12 +361,12 @@ def match_starts(index: PositionalIndex, units: Sequence[np.ndarray | None]) -> 
 
 
 def whole_matches(index: PositionalIndex, starts: np.ndarray,
-                  n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The starts whose n-token span ends in the document it starts in,
-    and the row in the document arrays of that document."""
+                  n: int | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mask of the starts whose n-token span ends in the document it starts
+    in (n may give each start its own length), and the row in the document
+    arrays of the document each start lies in."""
     doc = index.doc_index(starts)
-    inside = starts + n <= index.doc_starts[doc] + index.doc_lens[doc]
-    return starts[inside], doc[inside]
+    return starts + n <= index.doc_starts[doc] + index.doc_lens[doc], doc
 
 
 def tally(doc: np.ndarray, mode: CountMode) -> int:
@@ -387,7 +387,8 @@ def count_hits(index: PositionalIndex, q: PhraseQuery,
     units = [None if p.kind is PatternKind.ANY_WORD else index.unit_positions(p)
              for p in q.patterns]
     starts = match_starts(index, units)
-    return HitCount(tally(whole_matches(index, starts, len(units))[1], mode), mode)
+    inside, doc = whole_matches(index, starts, len(units))
+    return HitCount(tally(doc[inside], mode), mode)
 
 
 # ---------------------------------------------------------------------------

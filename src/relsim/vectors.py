@@ -10,14 +10,16 @@ The 128 phrases of a pair differ only in the term between the members, so
 a local index counts them per pair rather than per phrase
 (LocalIndexProvider.pair_counts): each member's match starts are found
 once, and the two members are joined once per word order and term length.
-Every term of that length is then checked at once with packed bit rows.
-Only the words the terms' literal and substring units name can decide a
-hit, so each named word has a class of its own and every other word
-shares one. Per unit offset k, each class has a uint8 row holding one bit
-per term, set where the term's k-th unit matches the class's words. A
-candidate ANDs the rows of the classes of its tokens between the members,
-so its set bits are the terms it hits; in document mode the rows of each
-document are ORed into one. Any other provider is called once per phrase
+The candidates of all those joins are then checked in one pass against one
+table of packed bit rows over every term. Only the words the terms' literal
+and substring units name can decide a hit, so each named word has a class
+of its own and every other word shares one. Per unit offset k, each class
+has a uint8 row holding one bit per term, set where the term's k-th unit
+matches the class's words, or where the term ends before offset k. A
+candidate starts from the bits of the terms of its length and ANDs in the
+rows of the classes of its tokens between the members, so its set bits are
+the terms it hits; in document mode the rows of each document and word
+order are ORed into one. Any other provider is called once per phrase
 string, and each count it returns must keep the count rule (hit_counts).
 """
 
@@ -182,7 +184,8 @@ def build_vector(provider: HitCountProvider, pair: WordPair,
                  terms: Sequence[str]) -> RelationVector:
     """Count the 128 phrases of a pair and log-transform the counts.
 
-    A LocalIndexProvider counts them with one member join per term length
+    A LocalIndexProvider counts them with one member join per word order
+    and term length and one check of every term
     (LocalIndexProvider.pair_counts); any other provider is called once
     per phrase of generate_queries.
     """
@@ -210,13 +213,19 @@ class _TermTable(NamedTuple):
     terms: tuple[str, ...]
     # The class of the word at each corpus position: 1 + i for the i-th of
     # the m words the terms' units name, m + 1 for every other word; uint8
-    # while m <= 254 (np.min_scalar_type), wider beyond.
+    # while m <= 254 (np.min_scalar_type), wider beyond. Then max_len
+    # positions of class 0, which no word has, so that a candidate's offsets
+    # past its term stay in range.
     tokens: np.ndarray
-    # term length g -> (the numbers of the n terms of that length, their
-    # packed bit rows: uint8, g x (m + 2) x ceil(n / 8), where bit i of row
-    # [k, c] is set when unit k of the i-th term matches the words of class
-    # c; row 0 is the class no position has)
-    gaps: dict[int, tuple[np.ndarray, np.ndarray]]
+    # The distinct unit counts of the terms, ascending.
+    lengths: tuple[int, ...]
+    # uint8, (max_len + 1) x ceil(T / 8), for the T terms: bit j of row g is
+    # set when term j has g units.
+    want: np.ndarray
+    # uint8, max_len x (m + 2) x ceil(T / 8): bit j of row [k, c] is set when
+    # term j has at most k units (offset k is past its end, so any class
+    # passes) or its unit k matches the words of class c.
+    bits: np.ndarray
 
 
 class LocalIndexProvider:
@@ -224,8 +233,8 @@ class LocalIndexProvider:
 
     Safe for concurrent queries. Called with a phrase, it counts that
     phrase with count_hits. pair_counts, which build_vector uses, counts
-    all the phrases of a pair with one member join per word order and term
-    length, and then checks every term of that length at once with packed
+    all the phrases of a pair at once: one member join per word order and
+    term length, then one check of every term against one table of packed
     bit rows over word classes, so a member's wildcard is expanded once per
     pair, not in each of its 128 phrases.
     """
@@ -240,46 +249,50 @@ class LocalIndexProvider:
         return count_hits(self.index, parse_phrase(phrase), self.mode).count
 
     def _term_table(self, terms: Sequence[str], px: str, py: str) -> _TermTable:
-        """The tables pair_counts checks terms with, built on its first
-        call and again when the term list changes. The words that the
-        literal and substring units of the terms name get classes 1..m in
-        term id order, every other word class m + 1, and the corpus
-        positions the classes of their words (PositionalIndex.token_classes,
-        which also checks that the positions cover the corpus once). The
-        terms of each length g get g tables of packed bit rows, one per unit
-        offset: bit i of class c's row at offset k is set when the k-th unit
-        of the i-th term of that length matches the words of class c, and a
-        standalone '*' sets it for every class. A term that does not parse
-        raises ProviderError naming the phrase "px term py", the first
-        phrase the phrase path would fail on."""
+        """The table pair_counts checks terms with, built on its first call
+        and again when the term list changes. The words that the literal
+        and substring units of the terms name get classes 1..m in term id
+        order, every other word class m + 1, and the corpus positions the
+        classes of their words (PositionalIndex.token_classes, which also
+        checks that the positions cover the corpus once). One table of
+        packed bit rows covers every term: bit j of class c's row at offset
+        k is set when the k-th unit of term j matches the words of class c;
+        a standalone '*', or an offset past the term's end, sets it for
+        every class. A term that does not parse raises ProviderError naming
+        the phrase "px term py", the first phrase the phrase path would
+        fail on."""
         terms = tuple(terms)
         table = self._table
         if table is None or table.terms != terms:
-            groups: dict[int, list] = {}
-            for j, term in enumerate(terms):
+            term_units = []
+            for term in terms:
                 try:
-                    units = parse_units(term)
+                    term_units.append(parse_units(term))
                 except PhraseSyntaxError as e:
                     raise ProviderError(_query(px, term, py), e) from e
-                groups.setdefault(len(units), []).append((j, units))
             term_ids = functools.cache(self.index.unit_term_ids)
-            named = sorted({t for group in groups.values() for _, units in group for p in units
+            named = sorted({t for units in term_units for p in units
                             if p.kind is not PatternKind.ANY_WORD for t in term_ids(p)})
             other = len(named) + 1
             term_class = np.full(self.index.vocabulary_size, other,
                                  dtype=np.min_scalar_type(other))
             term_class[named] = np.arange(1, other)
-            gaps = {}
-            for g, group in groups.items():
-                bits = np.zeros((g, other + 1, -(-len(group) // 8)), dtype=np.uint8)
-                for i, (_, units) in enumerate(group):
-                    for k, p in enumerate(units):
-                        classes = (slice(None) if p.kind is PatternKind.ANY_WORD
-                                   else term_class[term_ids(p)])
-                        # Bit i in the order np.unpackbits reads: the highest bit first.
-                        bits[k, classes, i // 8] |= 0x80 >> i % 8
-                gaps[g] = (np.array([j for j, _ in group]), bits)
-            table = self._table = _TermTable(terms, self.index.token_classes(term_class), gaps)
+            lengths = np.array([len(units) for units in term_units], dtype=np.intp)
+            max_len = int(lengths.max(initial=0))
+            offsets = np.arange(max_len + 1)[:, None]
+            # Bit j of each packed row in the order np.unpackbits reads: the
+            # highest bit first.
+            want = np.packbits(lengths == offsets, axis=1)
+            hits = np.zeros((max_len, other + 1, len(terms)), dtype=bool)
+            hits |= (lengths <= offsets[:-1])[:, None, :]  # offsets past a term's end
+            for j, units in enumerate(term_units):
+                for k, p in enumerate(units):
+                    classes = (slice(None) if p.kind is PatternKind.ANY_WORD
+                               else term_class[term_ids(p)])
+                    hits[k, classes, j] = True
+            table = self._table = _TermTable(terms, self.index.token_classes(term_class, max_len),
+                                             tuple(sorted(set(lengths.tolist()))), want,
+                                             np.packbits(hits, axis=2))
         return table
 
     def pair_counts(self, pair: WordPair, terms: Sequence[str]) -> list[int]:
@@ -287,14 +300,16 @@ class LocalIndexProvider:
 
         Each member's match starts are found once. For each word order and
         each term length g, one join keeps the starts s of the first member
-        (length la) whose second member starts at s + la + g, with the
-        whole span inside one document. Each candidate starts from a row of
-        all ones, one bit per term of length g, and ANDs in the bit row of
-        the class of its token at s + la + k for each offset k, so a set bit
-        is a hit.
-        In document mode the rows of each document are ORed together. A
-        term counts the set bits in its column, once the rows are unpacked;
-        an empty candidate set counts 0 for every term of that length.
+        (length la) whose second member starts at s + la + g. The
+        candidates of every join are then checked together: one document
+        lookup keeps those whose whole span lies inside one document. Each
+        starts from the row of the terms of its length g and ANDs in the
+        bit row of the class of its token at s + la + k for every offset k
+        of the longest term, so a set bit is a hit; an offset past a term's
+        end passes every class. In document mode the rows of each document
+        and word order are ORed together. A term counts the set bits in its
+        column once the rows are unpacked, word order 0's rows in the even
+        counts and word order 1's in the odd ones.
         """
         px, py = _member_pattern(pair.x), _member_pattern(pair.y)
         table = self._term_table(terms, px, py)
@@ -304,26 +319,41 @@ class LocalIndexProvider:
             units = [self.index.unit_positions(p) for p in parse_units(pattern)]
             members.append((len(units), match_starts(self.index, units)))
         counts = np.zeros(2 * len(terms), dtype=np.int64)
+        if not len(members[0][1]) or not len(members[1][1]) or not terms:
+            return counts.tolist()  # a member that never matches makes every count 0
         last = self.index.token_count
-        for order, ((la, a), (lb, b)) in enumerate((members, members[::-1])):
-            if not len(a) or not len(b):
-                break  # a member that never matches makes every count 0
-            for g, (numbers, bits) in table.gaps.items():
+        joined, ahead, spans = [], [], []
+        for (la, a), (lb, b) in (members, members[::-1]):
+            for g in table.lengths:
                 n = la + g + lb
                 # In range, so that no start + offset below overflows int32.
                 starts = a if a[-1] <= last - n else a[a <= last - n]
-                starts = starts[in_sorted(b, starts + (la + g))]
-                starts, doc = whole_matches(self.index, starts, n)
-                if not len(starts):
-                    continue
-                hit = np.full((len(starts), bits.shape[2]), 0xFF, dtype=np.uint8)
-                for k, rows in enumerate(bits):  # none for the empty term: every candidate hits
-                    hit &= rows[table.tokens[starts + (la + k)]]
-                if self.mode is CountMode.DOCUMENT_HITS:
-                    # The rows ascend, so a document's candidates run from its first one.
-                    first = np.ones(len(doc), dtype=bool)
-                    np.not_equal(doc[1:], doc[:-1], out=first[1:])
-                    hit = np.bitwise_or.reduceat(hit, first.nonzero()[0])
-                counts[2 * numbers + order] = np.unpackbits(hit, axis=1,
-                                                            count=len(numbers)).sum(axis=0)
+                joined.append(starts[in_sorted(b, starts + (la + g))])
+                ahead.append(la)
+                spans.append(n)
+        sizes = [len(starts) for starts in joined]
+        starts = np.concatenate(joined)
+        inside, doc = whole_matches(self.index, starts, np.repeat(spans, sizes))
+        # Word order 0's joins come first: its candidates that lie inside.
+        split = np.count_nonzero(inside[:sum(sizes[:len(table.lengths)])])
+        # int64, as np.repeat makes it, so that no offset below overflows.
+        mid = (starts + np.repeat(ahead, sizes))[inside]
+        hit = table.want[np.repeat(table.lengths * 2, sizes)[inside]]
+        for k, rows in enumerate(table.bits):  # none for the empty term alone: every candidate hits
+            hit &= rows[table.tokens[mid + k]]
+        if self.mode is CountMode.DOCUMENT_HITS:
+            # Each join ascends, so a document's candidates of one join run
+            # together. A run may span joins of one word order, as a term's
+            # bit is set only by candidates of its own length, but word
+            # order 1's first candidate starts a run of its own.
+            doc = doc[inside]
+            first = np.ones(len(doc), dtype=bool)
+            np.not_equal(doc[1:], doc[:-1], out=first[1:])
+            first[split:split + 1] = True
+            runs = first.nonzero()[0]
+            hit = np.bitwise_or.reduceat(hit, runs)
+            split = runs.searchsorted(split)
+        hit = np.unpackbits(hit, axis=1, count=len(terms))
+        counts[0::2] = hit[:split].sum(axis=0)
+        counts[1::2] = hit[split:].sum(axis=0)
         return counts.tolist()

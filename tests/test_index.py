@@ -376,6 +376,9 @@ def test_token_classes_invert_the_postings(corpus, seed, dtype):
         classes = ix.token_classes(term_class)
         assert classes.dtype == dtype
         assert np.array_equal(classes, term_class[tokens])
+        padded = ix.token_classes(term_class, 3)
+        assert padded.dtype == dtype
+        assert np.array_equal(padded, np.concatenate((classes, np.zeros(3, dtype))))
 
 
 def test_save_is_deterministic_and_compact(tmp_path):

@@ -777,6 +777,16 @@ BOTH_ORDERS = [("mason", "stone"), ("stone", "mason")]
 @example(([t.split() for t in ("mason stone x mason y stone", "stone z mason mason stone",
                                "mason x y stone mason")], [0, 1, 2]),
          BOTH_ORDERS, ["", "*", "* *", "quux", "zeb*ra", "* quux", "quux *"])
+# Terms of 0 to 3 units, with a gap-0 candidate ("of stone") and a gap-1
+# candidate ("mason of stone") ending the corpus, so that the offsets of the
+# longest term run past the corpus's last token.
+@example(([t.split() for t in ("mason stone mason of the stone", "stone of x the mason",
+                               "x mason of stone")], [0, 1, 2]),
+         BOTH_ORDERS + [("of", "stone")], ["", "of", "of the", "of * the"])
+# One document where both word orders hit with terms of several lengths,
+# word order 0's last candidate and word order 1's first in the same document.
+@example(([["mason", "stone", "of", "mason", "of", "the", "stone", "the", "mason"]], [4]),
+         BOTH_ORDERS, ["", "of", "of the", "the"])
 def test_pair_counts_equal_phrase_counts(corpus, pairs, terms):
     texts, ids = corpus
     idx = build_index([Document(i, tuple(t)) for i, t in zip(ids, texts)])
@@ -839,6 +849,24 @@ def test_pair_counts_with_more_named_words_than_a_byte_holds():
         assert provider._table.tokens.dtype == np.uint16
 
 
+def test_pair_counts_when_the_term_list_changes():
+    """One provider per mode counts the default terms, then other lists of
+    other lengths and widths, none, and the default terms again; each list
+    rebuilds the term table and gives the per-phrase counts."""
+    idx = build_index([Document(i, tuple(t.split())) for i, t in enumerate((
+        "mason of the stone stone of mason", "mason x the stone mason stone",
+        "stone in the mason mason of stone"))])
+    pair = WordPair("mason", "stone")
+    for mode in CountMode:
+        provider = LocalIndexProvider(idx, mode)
+        for terms in (TERMS, ["of", "* the", ""], [], TERMS, ["of the", "of"]):
+            expected = _phrase_counts(idx, pair, terms, mode)
+            assert provider.pair_counts(pair, terms) == expected, (terms, mode)
+            assert any(expected) or not terms
+        assert provider.pair_counts(pair, []) == []
+        assert build_vector(provider, pair, []).raw == ()
+
+
 @pytest.mark.parametrize("shifted, doubled, named", [("quux", "zebra", False),
                                                      ("wombat", "the", True)])
 def test_pair_counts_refuses_a_position_listed_twice(shifted, doubled, named):
@@ -890,7 +918,7 @@ members = st.builds(lambda a, t, b: a + t + b, st.text(max_size=6),
                     st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789 -_'", max_size=12))
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=max(400, settings.default.max_examples), deadline=None)
 @given(members, members)
 @example("x-ray", "ab")
 @example("advertisement", "a12345678")
